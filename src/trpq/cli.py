@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import compact, intervals as iv
 from .errors import DenseInfeasibleError, TrpqError
-from .evaluate import EVALUATORS, AnswerSet, EvalOptions, eval_c, eval_d, eval_t, eval_td
+from .evaluate import EVALUATORS, AnswerSet, EvalOptions
 from .graph import TemporalGraph, load_graph, scale_graph
 from .oracle import eval_direct
 from .query import parse_query, scale_query
@@ -52,11 +52,30 @@ def _read_query(value: str):
     return parse_query(value)
 
 
+def _int(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise _UsageError(f"{what} must be an integer, got {text!r}") from None
+
+
 def _eval_options(args) -> EvalOptions:
     cap = args.max_iterations
     if cap is None:
-        cap = int(os.environ.get("TRPQ_MAX_ITER", 10_000))
+        cap = _int(os.environ.get("TRPQ_MAX_ITER", "10000"), "TRPQ_MAX_ITER")
     return EvalOptions(max_iterations=cap)
+
+
+def _coalesce(answers: AnswerSet) -> AnswerSet:
+    if answers.kind == "t":
+        return compact.coalesce_t(answers)
+    if answers.kind == "d":
+        return compact.coalesce_d(answers)
+    raise _UsageError("--coalesce applies to --repr t or d")
+
+
+def _reduce(answers: AnswerSet) -> AnswerSet:
+    return compact.greedy_reduce(compact.remove_subsumed(answers))
 
 
 def _evaluate(G, q, args) -> AnswerSet:
@@ -66,12 +85,7 @@ def _evaluate(G, q, args) -> AnswerSet:
         return AnswerSet("point", G.mode, points)
     answers = EVALUATORS[args.repr](G, q, opts)
     if args.coalesce:
-        if args.repr == "t":
-            answers = compact.coalesce_t(answers)
-        elif args.repr == "d":
-            answers = compact.coalesce_d(answers)
-        else:
-            raise _UsageError("--coalesce applies to --repr t or d")
+        answers = _coalesce(answers)
     if args.minimize:
         if args.repr in ("t", "d") and args.minimize == "greedy":
             raise _UsageError("--minimize greedy applies to --repr td or c")
@@ -80,7 +94,7 @@ def _evaluate(G, q, args) -> AnswerSet:
                 answers, "disjoint" if args.disjoint else "overlapping"
             )
         else:
-            answers = compact.greedy_reduce(compact.remove_subsumed(answers))
+            answers = _reduce(answers)
     return answers
 
 
@@ -95,22 +109,20 @@ def _cmd_eval(args) -> int:
 
 
 def _compact_count(G, q, repr_name, opts) -> int:
-    if repr_name == "t":
-        return len(compact.coalesce_t(eval_t(G, q, opts)))
-    if repr_name == "d":
-        return len(compact.coalesce_d(eval_d(G, q, opts)))
-    if repr_name == "td":
-        return len(compact.greedy_reduce(compact.remove_subsumed(eval_td(G, q, opts))))
-    if repr_name == "c":
-        return len(compact.greedy_reduce(compact.remove_subsumed(eval_c(G, q, opts))))
-    raise _UsageError(f"stats supports representations t, d, td, c; got {repr_name!r}")
+    if repr_name not in EVALUATORS:
+        raise _UsageError(f"stats supports representations t, d, td, c; got {repr_name!r}")
+    answers = EVALUATORS[repr_name](G, q, opts)
+    # coalescing gives the unique minimal form in U^t and U^d; rectangles are reduced greedily
+    return len(_coalesce(answers) if repr_name in ("t", "d") else _reduce(answers))
 
 
 def _cmd_stats(args) -> int:
     G = _read_graph(args.graph)
     q = _read_query(args.query)
     reprs = [r.strip() for r in args.reprs.split(",") if r.strip()]
-    factors = [int(f) for f in args.factors.split(",") if f.strip()]
+    factors = [_int(f, "--factors") for f in args.factors.split(",") if f.strip()]
+    if any(f < 1 for f in factors):
+        raise _UsageError(f"--factors must be positive integers, got {args.factors!r}")
     opts = _eval_options(args)
     print("factor,repr,tuple_count")
     for factor in factors:
@@ -370,6 +382,11 @@ def main(argv=None) -> int:
         return EXIT_INFEASIBLE
     except (TrpqError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except RecursionError:
+        # a '/' or '+' chain nests one AST level per operand
+        print("error: query nested too deeply; split long '/' or '+' chains with parentheses",
+              file=sys.stderr)
         return EXIT_ERROR
 
 

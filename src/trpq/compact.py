@@ -79,12 +79,6 @@ def remove_subsumed(s: AnswerSet) -> AnswerSet:
 # --------------------------------------------------------------------------
 
 
-def _cells_td(u: TDTuple) -> frozenset:
-    return frozenset(
-        (t, d) for t in iv.iter_points(u.tau) for d in iv.iter_points(u.delta)
-    )
-
-
 def _cells_c(u: CTuple) -> frozenset:
     out = set()
     for t in iv.iter_points(u.tau):

@@ -1,26 +1,32 @@
-"""The four inductive compact evaluators.
+"""The four inductive compact evaluators: one recursion, four rule sets.
 
 Each evaluator computes, by structural recursion, a finite set of compact
 tuples whose unfolding is exactly the direct answer set:
 
-* ``eval_t``  in U^t  (works over dense time only when every temporal
-  navigation interval is a singleton);
+* ``eval_t``  in U^t  (over dense time only when every temporal navigation
+  interval is a singleton);
 * ``eval_d``  in U^d  (over dense time, feasible only when no step needs to
-  enumerate the points of a non-singleton interval; the join with a trailing
-  temporal navigation is fused into a unary rule so that navigation never has
-  to be materialised on its own);
+  enumerate the points of a non-singleton interval);
 * ``eval_td`` in U^td (discrete time only: its join expands per time point);
 * ``eval_c``  in U^c  (both modes; the representation closed under join).
 
-Unbounded repetition iterates join rounds semi-naively with structural
-deduplication; over dense time a configurable round cap guards against
-non-terminating closures.
+All four share one recursion, ``_evaluate``: unions are set unions, joins
+bucket their right operand by source node, and unbounded repetition iterates
+join rounds semi-naively, with a round cap against non-terminating dense
+closures.  Each supplies a rule set, ``_Rules``: ``flat(n1, n2, tau)`` builds
+the zero-distance, uncropped tuple of every label, inverse, node filter,
+negation gap and repetition identity; ``nav(G, delta, nodes)`` evaluates
+temporal navigation; ``join(u1, u2)`` composes two tuples into zero or more.
+U^d alone adds ``nav_join``, a join with a trailing navigation fused into a
+unary rule so that navigation is never materialised on its own, and
+``ordered``, which walks the left operands of its joins in canonical order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from functools import partial
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from . import intervals as iv
 from . import query as q_
@@ -33,7 +39,6 @@ from .tuples import (
     TDTuple,
     TTuple,
     admissible_window,
-    coalesce_t_tuples,
     ctuple_valid,
     render_tuple,
     tuple_sort_key,
@@ -42,19 +47,14 @@ from .tuples import (
 KINDS = ("point", "t", "d", "td", "c")
 
 _ZERO = iv.point(0)
+_flat_td = partial(TDTuple, delta=_ZERO)  # also the shape of a U^d group
 
 
 @dataclass
 class EvalOptions:
-    """Evaluator knobs.
-
-    ``max_iterations`` caps the rounds of unbounded-repetition closure;
-    ``coalesce_intermediate`` opts in to coalescing intermediate results in
-    eval_t / eval_d, which can shrink the operands of the quadratic join.
-    """
+    """Evaluator knobs: ``max_iterations`` caps the rounds of unbounded-repetition closure."""
 
     max_iterations: int = 10_000
-    coalesce_intermediate: bool = False
 
 
 class AnswerSet:
@@ -91,24 +91,89 @@ class AnswerSet:
         return "\n".join(render_tuple(u) for u in self.tuples)
 
 
-def _options(options: Optional[EvalOptions]) -> EvalOptions:
-    return options if options is not None else EvalOptions()
+class _Rules(NamedTuple):
+    """What one representation supplies to the shared recursion (see the module docstring)."""
+
+    flat: Callable
+    nav: Callable
+    join: Callable
+    nav_join: Optional[Callable] = None
+    ordered: bool = False
 
 
-def _leq_window(domain: Interval, k: Number) -> Optional[Interval]:
-    """The part of the domain at or before k; None when there is none."""
-    if k >= domain.hi:
-        return domain
-    if k < domain.lo or (k == domain.lo and not domain.left_closed):
-        return None
-    return Interval(domain.lo, k, domain.left_closed, True)
+# --------------------------------------------------------------------------
+# the shared recursion
+# --------------------------------------------------------------------------
 
 
-def _repeat_sets(base, m, n, identity, join_sets, cap):
+def _run(G: TemporalGraph, q: q_.Trpq, rules: _Rules, options: Optional[EvalOptions]) -> set:
+    cap = (options if options is not None else EvalOptions()).max_iterations
+    return _evaluate(G, q, sorted(graph_nodes(G)), rules, cap)
+
+
+def _evaluate(G, q, nodes, rules: _Rules, cap: int) -> set:
+    domain = G.domain
+    if isinstance(q, q_.Label):
+        return {
+            rules.flat(s, o, tau)
+            for s, o, validity in G.triples_with_label(q.name)
+            for tau in validity
+        }
+    if isinstance(q, q_.Inverse):
+        return {rules.flat(u.n2, u.n1, u.tau) for u in _evaluate(G, q.edge, nodes, rules, cap)}
+    if isinstance(q, q_.Pred):
+        matching = [q.target] if q.equals else [n for n in nodes if n != q.target]
+        return {rules.flat(n, n, domain) for n in matching}
+    if isinstance(q, q_.LeqTime):
+        window = _leq_window(domain, q.bound)
+        if window is None:
+            return set()
+        return {rules.flat(n, n, window) for n in nodes}
+    if isinstance(q, q_.TimeNav):
+        return rules.nav(G, q.delta, nodes)
+    if isinstance(q, q_.Test):
+        return {rules.flat(u.n1, u.n1, u.tau) for u in _evaluate(G, q.inner, nodes, rules, cap)}
+    if isinstance(q, q_.Not):
+        inner = _evaluate(G, q.inner, nodes, rules, cap)
+        return {
+            rules.flat(n, n, gap)
+            for n in nodes
+            for gap in _node_gaps(inner, n, domain, G.discrete)
+        }
+    if isinstance(q, q_.Join):
+        lhs = _evaluate(G, q.lhs, nodes, rules, cap)
+        if rules.nav_join is not None and isinstance(q.rhs, q_.TimeNav):
+            return rules.nav_join(lhs, q.rhs.delta, G, nodes)
+        rhs = _evaluate(G, q.rhs, nodes, rules, cap)
+        return _join_sets(lhs, rhs, rules.join, rules.ordered)
+    if isinstance(q, q_.Union):
+        return _evaluate(G, q.lhs, nodes, rules, cap) | _evaluate(G, q.rhs, nodes, rules, cap)
+    if isinstance(q, q_.Repeat):
+        base = _evaluate(G, q.inner, nodes, rules, cap)
+        identity = {rules.flat(n, n, domain) for n in nodes}
+        join_base = partial(_join_sets, B=base, join=rules.join, ordered=rules.ordered)
+        return _repeat_sets(base, q.m, q.n, identity, join_base, cap)
+    raise TypeError(f"not a query node: {q!r}")
+
+
+def _join_sets(A, B, join, ordered=False) -> set:
+    """All compositions of a tuple of A with a tuple of B that it chains into."""
+    buckets: dict[str, list] = {}
+    for u in B:
+        buckets.setdefault(u.n1, []).append(u)
+    out = set()
+    for u1 in sorted(A, key=tuple_sort_key) if ordered else A:
+        for u2 in buckets.get(u1.n2, ()):
+            out.update(join(u1, u2))
+    return out
+
+
+def _repeat_sets(base, m, n, identity, join_base, cap):
     """Union of the k-fold join powers of ``base`` for m <= k (<= n).
 
-    k = 0 contributes the node-identity relation.  The unbounded case runs
-    semi-naive iteration: only tuples new in the previous round are re-joined.
+    ``join_base(A)`` joins A with ``base``.  k = 0 contributes the
+    node-identity relation.  The unbounded case runs semi-naive iteration:
+    only tuples new in the previous round are re-joined.
     """
     out = set()
     start = m
@@ -117,14 +182,12 @@ def _repeat_sets(base, m, n, identity, join_sets, cap):
         start = 1
     current = set(base)
     for _ in range(start - 1):
-        current = join_sets(current, base)
+        current = join_base(current)
     if n is not None:
-        k = start
-        while k <= n:
+        for k in range(start, n + 1):
+            if k > start:
+                current = join_base(current)
             out |= current
-            k += 1
-            if k <= n:
-                current = join_sets(current, base)
         return out
     total = set(current)
     delta = set(current)
@@ -136,16 +199,18 @@ def _repeat_sets(base, m, n, identity, join_sets, cap):
                 f"unbounded repetition did not stabilise after {cap} rounds; "
                 "raise --max-iterations / TRPQ_MAX_ITER if the query is expected to converge"
             )
-        delta = join_sets(delta, base) - total
+        delta = join_base(delta) - total
         total |= delta
     return out | total
 
 
-def _bucket_by_n1(tuples):
-    buckets: dict[str, list] = {}
-    for u in tuples:
-        buckets.setdefault(u.n1, []).append(u)
-    return buckets
+def _leq_window(domain: Interval, k: Number) -> Optional[Interval]:
+    """The part of the domain at or before k; None when there is none."""
+    if k >= domain.hi:
+        return domain
+    if k < domain.lo or (k == domain.lo and not domain.left_closed):
+        return None
+    return Interval(domain.lo, k, domain.left_closed, True)
 
 
 def _node_gaps(tuples, node, domain, discrete):
@@ -160,122 +225,49 @@ def _node_gaps(tuples, node, domain, discrete):
 
 
 def _check_dense_t_feasible(q: q_.Trpq):
-    if isinstance(q, q_.TimeNav):
-        if not q.delta.is_singleton:
-            raise DenseInfeasibleError(
-                "dense time: U^t requires every temporal navigation interval "
-                f"to be a singleton, got T{q.delta}"
-            )
-        return
-    for child in _children(q):
+    if isinstance(q, q_.TimeNav) and not q.delta.is_singleton:
+        raise DenseInfeasibleError(
+            "dense time: U^t requires every temporal navigation interval "
+            f"to be a singleton, got T{q.delta}"
+        )
+    for child in q_.children(q):
         _check_dense_t_feasible(child)
-
-
-def _children(q: q_.Trpq):
-    if isinstance(q, q_.Inverse):
-        return (q.edge,)
-    if isinstance(q, (q_.Test, q_.Not, q_.Repeat)):
-        return (q.inner,)
-    if isinstance(q, (q_.Join, q_.Union)):
-        return (q.lhs, q.rhs)
-    return ()
 
 
 def eval_t(G: TemporalGraph, q: q_.Trpq, options: Optional[EvalOptions] = None) -> AnswerSet:
     """Inductive evaluation folding time points: tuples (n1, n2, tau, d)."""
-    opts = _options(options)
     q = q_.adapt_query(q, G.discrete)
     if not G.discrete:
         _check_dense_t_feasible(q)
-    nodes = sorted(graph_nodes(G))
-    return AnswerSet("t", G.mode, _eval_t(G, q, nodes, opts))
+    return AnswerSet("t", G.mode, _run(G, q, _T_RULES, options))
 
 
-def _join_t_pair(u1: TTuple, u2: TTuple) -> Optional[TTuple]:
-    overlap = iv.intersect(iv.shift(u1.tau, u1.d), u2.tau)
-    if overlap is None:
-        return None
-    return TTuple(u1.n1, u2.n2, iv.shift(overlap, -u1.d), u1.d + u2.d)
-
-
-def _join_t_sets(A, B) -> set:
-    buckets = _bucket_by_n1(B)
+def _nav_t(G, delta: Interval, nodes) -> set:
+    domain = G.domain
+    if not G.discrete:
+        d = delta.lo  # singleton, checked up front
+        window = iv.intersect(domain, iv.shift(domain, -d))
+        return set() if window is None else {TTuple(n, n, window, d) for n in nodes}
+    # one tuple per (n, t1, t2): singleton time interval, fixed distance
     out = set()
-    for u1 in A:
-        for u2 in buckets.get(u1.n2, ()):
-            joined = _join_t_pair(u1, u2)
-            if joined is not None:
-                out.add(joined)
+    for t1 in iv.iter_points(domain):
+        landing = iv.intersect(iv.shift(delta, t1), domain)
+        if landing is None:
+            continue
+        for t2 in iv.iter_points(landing):
+            for n in nodes:
+                out.add(TTuple(n, n, iv.point(t1), t2 - t1))
     return out
 
 
-def _eval_t(G, q, nodes, opts) -> set:
-    domain = G.domain
+def _join_t(u1: TTuple, u2: TTuple) -> tuple[TTuple, ...]:
+    overlap = iv.intersect(iv.shift(u1.tau, u1.d), u2.tau)
+    if overlap is None:
+        return ()
+    return (TTuple(u1.n1, u2.n2, iv.shift(overlap, -u1.d), u1.d + u2.d),)
 
-    def finish(result: set) -> set:
-        if opts.coalesce_intermediate:
-            return set(coalesce_t_tuples(result, discrete=G.discrete))
-        return result
 
-    if isinstance(q, q_.Label):
-        return finish(
-            {
-                TTuple(s, o, tau, 0)
-                for s, o, validity in G.triples_with_label(q.name)
-                for tau in validity
-            }
-        )
-    if isinstance(q, q_.Inverse):
-        inner = _eval_t(G, q.edge, nodes, opts)
-        return finish({TTuple(u.n2, u.n1, u.tau, 0) for u in inner})
-    if isinstance(q, q_.Pred):
-        matching = [q.target] if q.equals else [n for n in nodes if n != q.target]
-        return finish({TTuple(n, n, domain, 0) for n in matching})
-    if isinstance(q, q_.LeqTime):
-        window = _leq_window(domain, q.bound)
-        if window is None:
-            return set()
-        return finish({TTuple(n, n, window, 0) for n in nodes})
-    if isinstance(q, q_.TimeNav):
-        out = set()
-        if G.discrete:
-            # one tuple per (n, t1, t2): singleton time interval, fixed distance
-            for t1 in iv.iter_points(domain):
-                landing = iv.intersect(iv.shift(q.delta, t1), domain)
-                if landing is None:
-                    continue
-                for t2 in iv.iter_points(landing):
-                    for n in nodes:
-                        out.add(TTuple(n, n, iv.point(t1), t2 - t1))
-        else:
-            d = q.delta.lo  # singleton, checked up front
-            window = iv.intersect(domain, iv.shift(domain, -d))
-            if window is not None:
-                out = {TTuple(n, n, window, d) for n in nodes}
-        return finish(out)
-    if isinstance(q, q_.Test):
-        inner = _eval_t(G, q.inner, nodes, opts)
-        return finish({TTuple(u.n1, u.n1, u.tau, 0) for u in inner})
-    if isinstance(q, q_.Not):
-        inner = _eval_t(G, q.inner, nodes, opts)
-        out = set()
-        for n in nodes:
-            for gap in _node_gaps(inner, n, domain, G.discrete):
-                out.add(TTuple(n, n, gap, 0))
-        return finish(out)
-    if isinstance(q, q_.Join):
-        lhs = _eval_t(G, q.lhs, nodes, opts)
-        rhs = _eval_t(G, q.rhs, nodes, opts)
-        return finish(_join_t_sets(lhs, rhs))
-    if isinstance(q, q_.Union):
-        return finish(_eval_t(G, q.lhs, nodes, opts) | _eval_t(G, q.rhs, nodes, opts))
-    if isinstance(q, q_.Repeat):
-        base = _eval_t(G, q.inner, nodes, opts)
-        identity = {TTuple(n, n, domain, 0) for n in nodes}
-        return finish(
-            _repeat_sets(base, q.m, q.n, identity, _join_t_sets, opts.max_iterations)
-        )
-    raise TypeError(f"not a query node: {q!r}")
+_T_RULES = _Rules(partial(TTuple, d=0), _nav_t, _join_t)
 
 
 # --------------------------------------------------------------------------
@@ -287,156 +279,84 @@ def _eval_t(G, q, nodes, opts) -> set:
 # many groups even over dense time; a group is expanded to individual time
 # points only where a rule genuinely needs it, which over dense time is an
 # error unless the group's time interval is a singleton.  Groups reuse the
-# TDTuple shape (their unfolding is the same rectangle).
+# TDTuple shape (their unfolding is the same rectangle), and are expanded in
+# canonical order so that such an error always cites the same interval.
 
 
 def eval_d(G: TemporalGraph, q: q_.Trpq, options: Optional[EvalOptions] = None) -> AnswerSet:
     """Inductive evaluation folding distances: tuples (n1, n2, t, delta)."""
-    opts = _options(options)
     q = q_.adapt_query(q, G.discrete)
-    nodes = sorted(graph_nodes(G))
-    groups = _eval_d(G, q, nodes, opts)
+    rules = _Rules(_flat_td, _nav_d, partial(_join_d, G.discrete), _nav_join_d, ordered=True)
+    groups = _run(G, q, rules, options)
     out = []
-    for g in groups:
-        for t in _expand_times(g.tau, G.discrete, "U^d"):
+    for g in sorted(groups, key=tuple_sort_key):
+        for t in _expand_times(g.tau, G.discrete):
             out.append(DTuple(g.n1, g.n2, t, g.delta))
     return AnswerSet("d", G.mode, out)
 
 
-def _expand_times(tau: Interval, discrete: bool, repr_name: str):
+def _expand_times(tau: Interval, discrete: bool):
     if discrete:
         return iv.iter_points(tau)
     if tau.is_singleton:
         return (tau.lo,)
     raise DenseInfeasibleError(
-        f"dense time: {repr_name} would need one tuple per rational time point of {tau}"
+        f"dense time: U^d would need one tuple per rational time point of {tau}"
     )
 
 
-def _join_d_pair(u1: TDTuple, u2: TDTuple, G) -> set:
+def _nav_d(G, delta: Interval, nodes) -> set:
     out = set()
+    for n in nodes:
+        for t in _expand_times(G.domain, G.discrete):
+            landing = iv.intersect(iv.shift(delta, t), G.domain)
+            if landing is None:
+                continue
+            out.add(TDTuple(n, n, iv.point(t), iv.shift(landing, -t)))
+    return out
+
+
+def _join_d(discrete: bool, u1: TDTuple, u2: TDTuple) -> list[TDTuple]:
     if u1.delta.is_singleton:
         # fixed hop length c: departures are arrivals shifted back by c
         c = u1.delta.lo
         shared = iv.intersect(u1.tau, iv.shift(u2.tau, -c))
-        if shared is not None:
-            out.add(TDTuple(u1.n1, u2.n2, shared, iv.shift(u2.delta, c)))
-        return out
-    for t1 in _expand_times(u1.tau, G.discrete, "U^d"):
+        if shared is None:
+            return []
+        return [TDTuple(u1.n1, u2.n2, shared, iv.shift(u2.delta, c))]
+    out = []
+    for t1 in _expand_times(u1.tau, discrete):
         arrivals = iv.intersect(u2.tau, iv.shift(u1.delta, t1))
         if arrivals is None:
             continue
-        out.add(
+        out.append(
             TDTuple(u1.n1, u2.n2, iv.point(t1), iv.msum(iv.shift(arrivals, -t1), u2.delta))
         )
     return out
 
 
-def _join_d_sets_factory(G) -> Callable:
-    def join_sets(A, B) -> set:
-        buckets = _bucket_by_n1(B)
-        out = set()
-        for u1 in A:
-            for u2 in buckets.get(u1.n2, ()):
-                out |= _join_d_pair(u1, u2, G)
-        return out
-
-    return join_sets
-
-
-def _fused_nav_d(groups, delta: Interval, G, node_set) -> set:
+def _nav_join_d(groups, delta: Interval, G, nodes) -> set:
     """The unary rule for a join whose right operand is temporal navigation.
 
     Distances extend by the navigation interval, and arrivals clip to the
     effective domain; when nothing would be clipped the whole group survives.
+    Groups ending at a node absent from the graph have no navigation partner.
     """
+    node_set = set(nodes)
     out = set()
-    for g in groups:
+    for g in sorted(groups, key=tuple_sort_key):
         if g.n2 not in node_set:
             continue
         extended = iv.msum(g.delta, delta)
         if iv.covers(G.domain, iv.msum(g.tau, extended)):
             out.add(TDTuple(g.n1, g.n2, g.tau, extended))
             continue
-        for t in _expand_times(g.tau, G.discrete, "U^d"):
+        for t in _expand_times(g.tau, G.discrete):
             arrivals = iv.intersect(iv.shift(extended, t), G.domain)
             if arrivals is None:
                 continue
             out.add(TDTuple(g.n1, g.n2, iv.point(t), iv.shift(arrivals, -t)))
     return out
-
-
-def _eval_d(G, q, nodes, opts) -> set:
-    domain = G.domain
-    node_set = set(nodes)
-
-    def finish(result: set) -> set:
-        if opts.coalesce_intermediate:
-            merged = set()
-            groups: dict[tuple[str, str, Interval], list[Interval]] = {}
-            for g in result:
-                groups.setdefault((g.n1, g.n2, g.tau), []).append(g.delta)
-            for (n1, n2, tau), deltas in groups.items():
-                for delta in iv.coalesce(deltas, discrete=G.discrete):
-                    merged.add(TDTuple(n1, n2, tau, delta))
-            return merged
-        return result
-
-    if isinstance(q, q_.Label):
-        return finish(
-            {
-                TDTuple(s, o, tau, _ZERO)
-                for s, o, validity in G.triples_with_label(q.name)
-                for tau in validity
-            }
-        )
-    if isinstance(q, q_.Inverse):
-        inner = _eval_d(G, q.edge, nodes, opts)
-        return finish({TDTuple(g.n2, g.n1, g.tau, g.delta) for g in inner})
-    if isinstance(q, q_.Pred):
-        matching = [q.target] if q.equals else [n for n in nodes if n != q.target]
-        return finish({TDTuple(n, n, domain, _ZERO) for n in matching})
-    if isinstance(q, q_.LeqTime):
-        window = _leq_window(domain, q.bound)
-        if window is None:
-            return set()
-        return finish({TDTuple(n, n, window, _ZERO) for n in nodes})
-    if isinstance(q, q_.TimeNav):
-        out = set()
-        for n in nodes:
-            for t in _expand_times(domain, G.discrete, "U^d"):
-                landing = iv.intersect(iv.shift(q.delta, t), domain)
-                if landing is None:
-                    continue
-                out.add(TDTuple(n, n, iv.point(t), iv.shift(landing, -t)))
-        return finish(out)
-    if isinstance(q, q_.Test):
-        inner = _eval_d(G, q.inner, nodes, opts)
-        return finish({TDTuple(g.n1, g.n1, g.tau, _ZERO) for g in inner})
-    if isinstance(q, q_.Not):
-        inner = _eval_d(G, q.inner, nodes, opts)
-        out = set()
-        for n in nodes:
-            for gap in _node_gaps(inner, n, domain, G.discrete):
-                out.add(TDTuple(n, n, gap, _ZERO))
-        return finish(out)
-    if isinstance(q, q_.Join):
-        lhs = _eval_d(G, q.lhs, nodes, opts)
-        if isinstance(q.rhs, q_.TimeNav):
-            return finish(_fused_nav_d(lhs, q.rhs.delta, G, node_set))
-        rhs = _eval_d(G, q.rhs, nodes, opts)
-        return finish(_join_d_sets_factory(G)(lhs, rhs))
-    if isinstance(q, q_.Union):
-        return finish(_eval_d(G, q.lhs, nodes, opts) | _eval_d(G, q.rhs, nodes, opts))
-    if isinstance(q, q_.Repeat):
-        base = _eval_d(G, q.inner, nodes, opts)
-        identity = {TDTuple(n, n, domain, _ZERO) for n in nodes}
-        return finish(
-            _repeat_sets(
-                base, q.m, q.n, identity, _join_d_sets_factory(G), opts.max_iterations
-            )
-        )
-    raise TypeError(f"not a query node: {q!r}")
 
 
 # --------------------------------------------------------------------------
@@ -476,70 +396,31 @@ def join_td(u1: TDTuple, u2: TDTuple) -> tuple[TDTuple, ...]:
     return tuple(out)
 
 
-def _join_td_sets(A, B) -> set:
-    buckets = _bucket_by_n1(B)
-    out = set()
-    for u1 in A:
-        for u2 in buckets.get(u1.n2, ()):
-            out.update(join_td(u1, u2))
-    return out
-
-
 def eval_td(G: TemporalGraph, q: q_.Trpq, options: Optional[EvalOptions] = None) -> AnswerSet:
     """Inductive evaluation folding both dimensions into plain rectangles."""
     if not G.discrete:
         raise DenseInfeasibleError("dense time: U^td may require infinitely many rectangles")
-    opts = _options(options)
     q = q_.adapt_query(q, True)
-    nodes = sorted(graph_nodes(G))
-    return AnswerSet("td", G.mode, _eval_td(G, q, nodes, opts))
+    return AnswerSet("td", G.mode, _run(G, q, _TD_RULES, options))
 
 
-def _eval_td(G, q, nodes, opts) -> set:
-    domain = G.domain
-    if isinstance(q, q_.Label):
-        return {
-            TDTuple(s, o, tau, _ZERO)
-            for s, o, validity in G.triples_with_label(q.name)
-            for tau in validity
-        }
-    if isinstance(q, q_.Inverse):
-        return {TDTuple(u.n2, u.n1, u.tau, u.delta) for u in _eval_td(G, q.edge, nodes, opts)}
-    if isinstance(q, q_.Pred):
-        matching = [q.target] if q.equals else [n for n in nodes if n != q.target]
-        return {TDTuple(n, n, domain, _ZERO) for n in matching}
-    if isinstance(q, q_.LeqTime):
-        window = _leq_window(domain, q.bound)
-        if window is None:
-            return set()
-        return {TDTuple(n, n, window, _ZERO) for n in nodes}
-    if isinstance(q, q_.TimeNav):
-        out = set()
-        for n in nodes:
-            out.update(
-                join_td(TDTuple(n, n, domain, q.delta), TDTuple(n, n, domain, _ZERO))
-            )
-        return out
-    if isinstance(q, q_.Test):
-        return {TDTuple(u.n1, u.n1, u.tau, _ZERO) for u in _eval_td(G, q.inner, nodes, opts)}
-    if isinstance(q, q_.Not):
-        inner = _eval_td(G, q.inner, nodes, opts)
-        out = set()
-        for n in nodes:
-            for gap in _node_gaps(inner, n, domain, True):
-                out.add(TDTuple(n, n, gap, _ZERO))
-        return out
-    if isinstance(q, q_.Join):
-        return _join_td_sets(
-            _eval_td(G, q.lhs, nodes, opts), _eval_td(G, q.rhs, nodes, opts)
-        )
-    if isinstance(q, q_.Union):
-        return _eval_td(G, q.lhs, nodes, opts) | _eval_td(G, q.rhs, nodes, opts)
-    if isinstance(q, q_.Repeat):
-        base = _eval_td(G, q.inner, nodes, opts)
-        identity = {TDTuple(n, n, domain, _ZERO) for n in nodes}
-        return _repeat_sets(base, q.m, q.n, identity, _join_td_sets, opts.max_iterations)
-    raise TypeError(f"not a query node: {q!r}")
+# The U^td and U^c rules look join_td and join_c up by their module-level
+# names on every call, so that rebinding those names (as a tracer does)
+# reaches every join the evaluators make.
+
+
+def _nav_td(G, delta: Interval, nodes) -> set:
+    out = set()
+    for n in nodes:
+        out.update(join_td(TDTuple(n, n, G.domain, delta), _flat_td(n, n, G.domain)))
+    return out
+
+
+def _join_td(u1: TDTuple, u2: TDTuple) -> tuple[TDTuple, ...]:
+    return join_td(u1, u2)
+
+
+_TD_RULES = _Rules(_flat_td, _nav_td, _join_td)
 
 
 # --------------------------------------------------------------------------
@@ -610,79 +491,29 @@ def join_c(u1: CTuple, u2: CTuple) -> Optional[CTuple]:
     return result
 
 
-def _join_c_sets(A, B) -> set:
-    buckets = _bucket_by_n1(B)
-    out = set()
-    for u1 in A:
-        for u2 in buckets.get(u1.n2, ()):
-            joined = join_c(u1, u2)
-            if joined is not None:
-                out.add(joined)
-    return out
+def eval_c(G: TemporalGraph, q: q_.Trpq, options: Optional[EvalOptions] = None) -> AnswerSet:
+    """Inductive evaluation with cropped rectangles; finite over both modes."""
+    q = q_.adapt_query(q, G.discrete)
+    return AnswerSet("c", G.mode, _run(G, q, _C_RULES, options))
 
 
 def _uncropped(n1: str, n2: str, tau: Interval, delta: Interval = _ZERO) -> CTuple:
     return CTuple(n1, n2, tau, delta, tau.lo, tau.hi)
 
 
-def eval_c(G: TemporalGraph, q: q_.Trpq, options: Optional[EvalOptions] = None) -> AnswerSet:
-    """Inductive evaluation with cropped rectangles; finite over both modes."""
-    opts = _options(options)
-    q = q_.adapt_query(q, G.discrete)
-    nodes = sorted(graph_nodes(G))
-    return AnswerSet("c", G.mode, _eval_c(G, q, nodes, opts))
+def _join_c(u1: CTuple, u2: CTuple) -> tuple[CTuple, ...]:
+    joined = join_c(u1, u2)
+    return () if joined is None else (joined,)
 
 
-def _eval_c(G, q, nodes, opts) -> set:
-    domain = G.domain
-    if isinstance(q, q_.Label):
-        return {
-            _uncropped(s, o, tau)
-            for s, o, validity in G.triples_with_label(q.name)
-            for tau in validity
-        }
-    if isinstance(q, q_.Inverse):
-        return {
-            CTuple(u.n2, u.n1, u.tau, u.delta, u.b, u.e)
-            for u in _eval_c(G, q.edge, nodes, opts)
-        }
-    if isinstance(q, q_.Pred):
-        matching = [q.target] if q.equals else [n for n in nodes if n != q.target]
-        return {_uncropped(n, n, domain) for n in matching}
-    if isinstance(q, q_.LeqTime):
-        window = _leq_window(domain, q.bound)
-        if window is None:
-            return set()
-        return {_uncropped(n, n, window) for n in nodes}
-    if isinstance(q, q_.TimeNav):
-        out = set()
-        for n in nodes:
-            seed1 = _uncropped(n, n, domain, q.delta)
-            seed2 = _uncropped(n, n, domain)
-            joined = join_c(seed1, seed2)
-            if joined is not None:
-                out.add(joined)
-        return out
-    if isinstance(q, q_.Test):
-        return {
-            _uncropped(u.n1, u.n1, u.tau) for u in _eval_c(G, q.inner, nodes, opts)
-        }
-    if isinstance(q, q_.Not):
-        inner = _eval_c(G, q.inner, nodes, opts)
-        out = set()
-        for n in nodes:
-            for gap in _node_gaps(inner, n, domain, G.discrete):
-                out.add(_uncropped(n, n, gap))
-        return out
-    if isinstance(q, q_.Join):
-        return _join_c_sets(_eval_c(G, q.lhs, nodes, opts), _eval_c(G, q.rhs, nodes, opts))
-    if isinstance(q, q_.Union):
-        return _eval_c(G, q.lhs, nodes, opts) | _eval_c(G, q.rhs, nodes, opts)
-    if isinstance(q, q_.Repeat):
-        base = _eval_c(G, q.inner, nodes, opts)
-        identity = {_uncropped(n, n, domain) for n in nodes}
-        return _repeat_sets(base, q.m, q.n, identity, _join_c_sets, opts.max_iterations)
-    raise TypeError(f"not a query node: {q!r}")
+def _nav_c(G, delta: Interval, nodes) -> set:
+    out = set()
+    for n in nodes:
+        out.update(_join_c(_uncropped(n, n, G.domain, delta), _uncropped(n, n, G.domain)))
+    return out
+
+
+_C_RULES = _Rules(_uncropped, _nav_c, _join_c)
 
 
 EVALUATORS = {"t": eval_t, "d": eval_d, "td": eval_td, "c": eval_c}

@@ -192,21 +192,12 @@ def scale_graph(g: TemporalGraph, factor: int, *, include_domain: bool = False) 
     """
     if factor < 1:
         raise ValueError("scale factor must be a positive integer")
-
-    def scale(interval: Interval) -> Interval:
-        return Interval(
-            interval.lo * factor,
-            interval.hi * factor,
-            interval.left_closed,
-            interval.right_closed,
-        )
-
-    domain = scale(g.domain) if include_domain else g.domain
+    domain = iv.scale(g.domain, factor) if include_domain else g.domain
     facts = {}
     for triple, validity in g.facts.items():
         scaled = []
         for interval in validity:
-            interval = scale(interval)
+            interval = iv.scale(interval, factor)
             if not iv.covers(domain, interval):
                 raise IntervalDomainError(
                     f"scaled interval {interval} of {triple} leaves the domain {domain}"

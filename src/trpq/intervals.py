@@ -27,7 +27,6 @@ from .errors import EmptyIntervalError, IntervalDomainError, ModeError
 
 Number = int | Fraction
 
-_NUMBER_RE = re.compile(r"-?\d+(?:/\d+|\.\d+)?")
 _INTERVAL_RE = re.compile(
     r"\s*([\[(])\s*(-?\d+(?:/\d+|\.\d+)?)\s*,\s*(-?\d+(?:/\d+|\.\d+)?)\s*([\])])\s*"
 )
@@ -134,6 +133,11 @@ def covers(outer: Interval, inner: Interval) -> bool:
 def shift(iv: Interval, d: Number) -> Interval:
     """Pointwise translation: {t + d | t in iv}; delimiters preserved."""
     return Interval(iv.lo + d, iv.hi + d, iv.left_closed, iv.right_closed)
+
+
+def scale(iv: Interval, factor: Number) -> Interval:
+    """Pointwise scaling by a positive factor: {t * factor | t in iv}; delimiters preserved."""
+    return Interval(iv.lo * factor, iv.hi * factor, iv.left_closed, iv.right_closed)
 
 
 def msum(a: Interval, b: Interval) -> Interval:

@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
-from typing import Optional, Union as TUnion
+from dataclasses import dataclass, replace
+from typing import Callable, Optional, Union as TUnion
 
 from . import intervals as iv
 from .errors import EmptyIntervalError, QueryParseError
@@ -91,6 +91,33 @@ class Repeat:
 
 
 Trpq = TUnion[Label, Inverse, Pred, LeqTime, TimeNav, Test, Not, Join, Union, Repeat]
+
+# the subquery fields of each inner node type, left to right; every other type is a leaf
+_CHILD_FIELDS = {
+    Inverse: ("edge",),
+    Test: ("inner",),
+    Not: ("inner",),
+    Repeat: ("inner",),
+    Join: ("lhs", "rhs"),
+    Union: ("lhs", "rhs"),
+}
+
+
+def children(q: Trpq) -> tuple[Trpq, ...]:
+    """The direct subqueries of ``q``, left to right; empty for a leaf."""
+    return tuple(getattr(q, name) for name in _CHILD_FIELDS.get(type(q), ()))
+
+
+def map_leaves(q: Trpq, fn: Callable[[Trpq], Trpq]) -> Trpq:
+    """``q`` rebuilt with every leaf replaced by ``fn(leaf)``, left to right."""
+    fields = _CHILD_FIELDS.get(type(q))
+    if fields is None:
+        return fn(q)
+    # a loop, not a comprehension: one stack frame per level of nesting
+    mapped = {}
+    for name in fields:
+        mapped[name] = map_leaves(getattr(q, name), fn)
+    return replace(q, **mapped)
 
 
 def is_edge_form(q: Trpq) -> bool:
@@ -384,23 +411,15 @@ def adapt_query(q: Trpq, discrete: bool) -> Trpq:
     """
     if not discrete:
         return q
+    return map_leaves(q, _adapt_leaf)
+
+
+def _adapt_leaf(q: Trpq) -> Trpq:
     if isinstance(q, TimeNav):
         return TimeNav(iv.normalize_discrete(q.delta))
     if isinstance(q, LeqTime):
         bound = q.bound if iv.is_integral(q.bound) else math.floor(q.bound)
         return LeqTime(int(bound))
-    if isinstance(q, Inverse):
-        return Inverse(adapt_query(q.edge, discrete))
-    if isinstance(q, Test):
-        return Test(adapt_query(q.inner, discrete))
-    if isinstance(q, Not):
-        return Not(adapt_query(q.inner, discrete))
-    if isinstance(q, Join):
-        return Join(adapt_query(q.lhs, discrete), adapt_query(q.rhs, discrete))
-    if isinstance(q, Union):
-        return Union(adapt_query(q.lhs, discrete), adapt_query(q.rhs, discrete))
-    if isinstance(q, Repeat):
-        return Repeat(adapt_query(q.inner, discrete), q.m, q.n)
     return q
 
 
@@ -408,21 +427,12 @@ def scale_query(q: Trpq, factor: int) -> Trpq:
     """Multiply every interval endpoint and time bound in the query by ``factor``."""
     if factor < 1:
         raise ValueError("scale factor must be a positive integer")
-    if isinstance(q, TimeNav):
-        d = q.delta
-        return TimeNav(Interval(d.lo * factor, d.hi * factor, d.left_closed, d.right_closed))
-    if isinstance(q, LeqTime):
-        return LeqTime(q.bound * factor)
-    if isinstance(q, Inverse):
-        return Inverse(scale_query(q.edge, factor))
-    if isinstance(q, Test):
-        return Test(scale_query(q.inner, factor))
-    if isinstance(q, Not):
-        return Not(scale_query(q.inner, factor))
-    if isinstance(q, Join):
-        return Join(scale_query(q.lhs, factor), scale_query(q.rhs, factor))
-    if isinstance(q, Union):
-        return Union(scale_query(q.lhs, factor), scale_query(q.rhs, factor))
-    if isinstance(q, Repeat):
-        return Repeat(scale_query(q.inner, factor), q.m, q.n)
-    return q
+
+    def scale_leaf(leaf: Trpq) -> Trpq:
+        if isinstance(leaf, TimeNav):
+            return TimeNav(iv.scale(leaf.delta, factor))
+        if isinstance(leaf, LeqTime):
+            return LeqTime(leaf.bound * factor)
+        return leaf
+
+    return map_leaves(q, scale_leaf)

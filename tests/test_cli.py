@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import trpq
 from trpq.bundled import data_text
 from trpq.cli import main
 
@@ -274,3 +280,57 @@ def test_max_iter_env_var(workdir, capsys, monkeypatch):
 def test_usage_error_exits_1(workdir, capsys):
     code, _, err = run(capsys, "eval", "--graph", workdir / "running.tg")
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "env, argv",
+    [
+        ({}, ("stats", "--scale", "query", "--factors", "a")),
+        ({}, ("stats", "--scale", "query", "--factors", "0")),
+        ({"TRPQ_MAX_ITER": "x"}, ("eval", "--repr", "c")),
+    ],
+    ids=["factors-not-integer", "factors-zero", "max-iter-env-not-integer"],
+)
+def test_bad_numeric_input_exits_1(workdir, capsys, monkeypatch, env, argv):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    code, _, err = run(
+        capsys, *argv, "--graph", workdir / "running.tg", "--query", workdir / "q3.trpq"
+    )
+    assert code == 1
+    assert err.startswith("error: ")
+
+
+def test_deep_query_exits_1(workdir, capsys):
+    chain = "/".join(["T[0,0]"] * 1200)
+    code, out, err = run(
+        capsys, "eval", "--graph", workdir / "running.tg", "--query", chain, "--repr", "c"
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: query nested too deeply")
+
+
+@pytest.mark.parametrize(
+    "graph, query, repr_name",
+    [
+        ("running_dense.tg", "attends/T[0,3]/attends^-", "d"),
+        ("running.tg", "q3.trpq", "c"),
+    ],
+    ids=["dense-d-infeasible", "bundled-q3-c"],
+)
+def test_eval_output_independent_of_hash_seed(workdir, graph, query, repr_name):
+    query_arg = workdir / query if query.endswith(".trpq") else query
+    src = str(Path(trpq.__file__).resolve().parents[1])
+    results = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "trpq.cli", "eval", "--graph", str(workdir / graph),
+             "--query", str(query_arg), "--repr", repr_name],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        results.append((proc.returncode, proc.stdout, proc.stderr))
+    assert results[0] == results[1]
+    assert results[0][0] in (0, 2)

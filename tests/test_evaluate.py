@@ -97,12 +97,6 @@ def test_eval_t_dense_singleton_closure():
     assert by_d[3] == [C(0, 0)]
 
 
-def test_eval_t_coalesce_intermediate_flag(running, q3):
-    eager = eval_t(running, q3, EvalOptions(coalesce_intermediate=True))
-    assert unfold(eager, "t") == eval_direct(running, q3)
-    assert len(eager) <= len(eval_t(running, q3))
-
-
 # --- U^d ----------------------------------------------------------------------
 
 
