@@ -60,9 +60,12 @@ def _int(text: str, what: str) -> int:
 
 
 def _eval_options(args) -> EvalOptions:
-    cap = args.max_iterations
+    cap, source = args.max_iterations, "--max-iterations"
     if cap is None:
-        cap = _int(os.environ.get("TRPQ_MAX_ITER", "10000"), "TRPQ_MAX_ITER")
+        source = "TRPQ_MAX_ITER"
+        cap = _int(os.environ.get(source, "10000"), source)
+    if cap < 1:
+        raise _UsageError(f"{source} must be a positive integer, got {cap}")
     return EvalOptions(max_iterations=cap)
 
 
@@ -81,6 +84,8 @@ def _reduce(answers: AnswerSet) -> AnswerSet:
 def _evaluate(G, q, args) -> AnswerSet:
     opts = _eval_options(args)
     if args.repr == "point":
+        if args.coalesce or args.minimize:
+            raise _UsageError("--coalesce and --minimize do not apply to --repr point")
         points = eval_direct(G, q, max_iterations=opts.max_iterations)
         return AnswerSet("point", G.mode, points)
     answers = EVALUATORS[args.repr](G, q, opts)

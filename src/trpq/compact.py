@@ -9,6 +9,7 @@ oracle (overlapping covers or disjoint ones).
 
 from __future__ import annotations
 
+from itertools import groupby
 from typing import Optional
 
 from . import intervals as iv
@@ -56,21 +57,34 @@ def _covers_fn(kind: str):
     raise ValueError(f"subsumption is defined for U^td and U^c, got {kind!r}")
 
 
+def _pair_runs(s: AnswerSet):
+    """The tuples of each node pair (n1, n2), one list per pair, in canonical order.
+
+    Tuples of different pairs never cover or merge with each other, and
+    ``tuple_sort_key`` starts with (n1, n2), so each pair is one contiguous run.
+    """
+    for _, run in groupby(s.tuples, key=lambda u: (u.n1, u.n2)):
+        yield list(run)
+
+
 def remove_subsumed(s: AnswerSet) -> AnswerSet:
-    """Drop tuples whose unfolding is contained in a single other tuple's."""
+    """Drop tuples whose unfolding is contained in a single other tuple's.
+
+    Of two tuples with equal unfoldings the earlier one in canonical order stays.
+    """
     dominates = _covers_fn(s.kind)
-    ordered = s.tuples
     kept = []
-    for i, u in enumerate(ordered):
-        dominated = False
-        for j, v in enumerate(ordered):
-            if i == j:
-                continue
-            if dominates(v, u) and (not dominates(u, v) or j < i):
-                dominated = True
-                break
-        if not dominated:
-            kept.append(u)
+    for run in _pair_runs(s):
+        for i, u in enumerate(run):
+            dominated = False
+            for j, v in enumerate(run):
+                if i == j:
+                    continue
+                if dominates(v, u) and (not dominates(u, v) or j < i):
+                    dominated = True
+                    break
+            if not dominated:
+                kept.append(u)
     return AnswerSet(s.kind, s.mode, kept)
 
 
@@ -134,7 +148,7 @@ def _try_merge_c(a: CTuple, b: CTuple, discrete: bool) -> Optional[CTuple]:
 
 
 def greedy_reduce(s: AnswerSet) -> AnswerSet:
-    """Deterministic pairwise merging to a local fixpoint.
+    """Deterministic pairwise merging to a local fixpoint, one node pair at a time.
 
     Unfolding-preserving and never larger than the input; makes no claim of
     minimality (exact minimization is intractable for these representations).
@@ -146,24 +160,26 @@ def greedy_reduce(s: AnswerSet) -> AnswerSet:
     else:
         raise ValueError(f"greedy_reduce is defined for U^td and U^c, got {s.kind!r}")
     discrete = s.mode == "discrete"
-    tuples = list(s.tuples)
-    changed = True
-    while changed:
-        changed = False
-        tuples.sort(key=tuple_sort_key)
-        for i in range(len(tuples)):
-            for j in range(i + 1, len(tuples)):
-                merged = merge(tuples[i], tuples[j], discrete)
-                if merged is None:
-                    continue
-                del tuples[j]
-                del tuples[i]
-                tuples.append(merged)
-                changed = True
-                break
-            if changed:
-                break
-    return AnswerSet(s.kind, s.mode, tuples)
+    out = []
+    for tuples in _pair_runs(s):
+        changed = True
+        while changed:
+            changed = False
+            tuples.sort(key=tuple_sort_key)
+            for i in range(len(tuples)):
+                for j in range(i + 1, len(tuples)):
+                    merged = merge(tuples[i], tuples[j], discrete)
+                    if merged is None:
+                        continue
+                    del tuples[j]
+                    del tuples[i]
+                    tuples.append(merged)
+                    changed = True
+                    break
+                if changed:
+                    break
+        out.extend(tuples)
+    return AnswerSet(s.kind, s.mode, out)
 
 
 # --------------------------------------------------------------------------

@@ -134,11 +134,14 @@ def _evaluate(G, q, nodes, rules: _Rules, cap: int) -> set:
     if isinstance(q, q_.Test):
         return {rules.flat(u.n1, u.n1, u.tau) for u in _evaluate(G, q.inner, nodes, rules, cap)}
     if isinstance(q, q_.Not):
-        inner = _evaluate(G, q.inner, nodes, rules, cap)
+        taus: dict[str, list] = {}
+        for u in _evaluate(G, q.inner, nodes, rules, cap):
+            taus.setdefault(u.n1, []).append(u.tau)
+        # the complement, within the domain, of each node's node-form time intervals
         return {
             rules.flat(n, n, gap)
             for n in nodes
-            for gap in _node_gaps(inner, n, domain, G.discrete)
+            for gap in iv.complement(taus.get(n, ()), domain, discrete=G.discrete)
         }
     if isinstance(q, q_.Join):
         lhs = _evaluate(G, q.lhs, nodes, rules, cap)
@@ -211,12 +214,6 @@ def _leq_window(domain: Interval, k: Number) -> Optional[Interval]:
     if k < domain.lo or (k == domain.lo and not domain.left_closed):
         return None
     return Interval(domain.lo, k, domain.left_closed, True)
-
-
-def _node_gaps(tuples, node, domain, discrete):
-    """Complement, within the domain, of the time intervals of node-form answers."""
-    taus = [u.tau for u in tuples if u.n1 == node]
-    return iv.complement(taus, domain, discrete=discrete)
 
 
 # --------------------------------------------------------------------------

@@ -288,8 +288,14 @@ def test_usage_error_exits_1(workdir, capsys):
         ({}, ("stats", "--scale", "query", "--factors", "a")),
         ({}, ("stats", "--scale", "query", "--factors", "0")),
         ({"TRPQ_MAX_ITER": "x"}, ("eval", "--repr", "c")),
+        ({}, ("eval", "--repr", "c", "--max-iterations", "0")),
+        ({}, ("eval", "--repr", "c", "--max-iterations", "-3")),
+        ({"TRPQ_MAX_ITER": "-5"}, ("eval", "--repr", "c")),
     ],
-    ids=["factors-not-integer", "factors-zero", "max-iter-env-not-integer"],
+    ids=[
+        "factors-not-integer", "factors-zero", "max-iter-env-not-integer",
+        "max-iter-flag-zero", "max-iter-flag-negative", "max-iter-env-negative",
+    ],
 )
 def test_bad_numeric_input_exits_1(workdir, capsys, monkeypatch, env, argv):
     for name, value in env.items():
@@ -298,6 +304,24 @@ def test_bad_numeric_input_exits_1(workdir, capsys, monkeypatch, env, argv):
         capsys, *argv, "--graph", workdir / "running.tg", "--query", workdir / "q3.trpq"
     )
     assert code == 1
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "command", [("eval",), ("plot", "--pair", "Alice", "ISWC")], ids=["eval", "plot"]
+)
+@pytest.mark.parametrize(
+    "flags",
+    [("--coalesce",), ("--minimize", "greedy"), ("--minimize", "exact")],
+    ids=["coalesce", "minimize-greedy", "minimize-exact"],
+)
+def test_point_rejects_compaction_flags(workdir, capsys, command, flags):
+    code, out, err = run(
+        capsys, *command, "--graph", workdir / "running.tg",
+        "--query", workdir / "q3.trpq", "--repr", "point", *flags,
+    )
+    assert code == 1
+    assert out == ""
     assert err.startswith("error: ")
 
 

@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 from trpq import eval_c, eval_direct, eval_t, eval_td
 from trpq import intervals as iv
 from trpq.compact import (
+    _try_merge_c,
+    _try_merge_td,
     coalesce_d,
     coalesce_t,
     greedy_reduce,
@@ -15,7 +17,17 @@ from trpq.compact import (
 )
 from trpq.errors import MinimizeGuardError
 from trpq.evaluate import AnswerSet
-from trpq.tuples import CTuple, DTuple, TDTuple, TTuple, unfold
+from trpq.tuples import (
+    CTuple,
+    DTuple,
+    TDTuple,
+    TTuple,
+    c_covers,
+    ctuple_valid,
+    td_covers,
+    tuple_sort_key,
+    unfold,
+)
 
 from randgen import random_instance
 
@@ -261,3 +273,116 @@ def test_random_eval_outputs_reduced_but_equal():
         assert unfold(greedy_reduce(remove_subsumed(td)), "td") == want
         c = eval_c(G, q)
         assert unfold(greedy_reduce(remove_subsumed(c)), "c") == want
+
+
+# --- per-pair compaction against the all-pairs reference ----------------------------
+
+
+def _reference_remove_subsumed(s):
+    """Subsumption removal comparing every tuple with every other, across all pairs."""
+    dominates = td_covers if s.kind == "td" else c_covers
+    ordered = s.tuples
+    kept = []
+    for i, u in enumerate(ordered):
+        dominated = False
+        for j, v in enumerate(ordered):
+            if i == j:
+                continue
+            if dominates(v, u) and (not dominates(u, v) or j < i):
+                dominated = True
+                break
+        if not dominated:
+            kept.append(u)
+    return AnswerSet(s.kind, s.mode, kept)
+
+
+def _reference_greedy_reduce(s):
+    """Greedy reduction restarting from the first mergeable pair of the whole list."""
+    merge = _try_merge_td if s.kind == "td" else _try_merge_c
+    discrete = s.mode == "discrete"
+    tuples = list(s.tuples)
+    changed = True
+    while changed:
+        changed = False
+        tuples.sort(key=tuple_sort_key)
+        for i in range(len(tuples)):
+            for j in range(i + 1, len(tuples)):
+                merged = merge(tuples[i], tuples[j], discrete)
+                if merged is None:
+                    continue
+                del tuples[j]
+                del tuples[i]
+                tuples.append(merged)
+                changed = True
+                break
+            if changed:
+                break
+    return AnswerSet(s.kind, s.mode, tuples)
+
+
+_PAIRS = [("a", "b"), ("a", "c"), ("b", "a"), ("c", "c")]
+
+
+def _make(kind, n1, n2, tau, delta, b, e):
+    if kind == "td":
+        return TDTuple(n1, n2, tau, delta)
+    u = CTuple(n1, n2, tau, delta, b, e)
+    return u if ctuple_valid(u) else None
+
+
+def _random_pair_tuples(rng, kind):
+    """Tuples over 2-4 node pairs: containments, mergeable neighbours, twins in other pairs.
+
+    Twins stand in for ties: a search over random valid tuples found no two
+    distinct ones of one pair that cover each other, as the constructors
+    canonicalise crop points.
+    """
+    pairs = rng.sample(_PAIRS, rng.randint(2, 4))
+    out = []
+    for k in range(rng.randint(len(pairs), 10)):
+        n1, n2 = pairs[k] if k < len(pairs) else rng.choice(pairs)
+        base = None
+        while base is None:
+            lo, dlo = rng.randint(-3, 3), rng.randint(0, 3)
+            tau, delta = C(lo, lo + rng.randint(0, 3)), C(dlo, dlo + rng.randint(0, 3))
+            b, e = rng.randint(tau.lo - 1, tau.hi), rng.randint(tau.lo, tau.hi + 1)
+            base = _make(kind, n1, n2, tau, delta, b, e)
+        out.append(base)
+        variants = [
+            # the same shape in another pair: equal unfolding, different pair
+            (rng.choice(pairs), tau, delta, b, e),
+            # a neighbour sharing delta (and crop) on the next time span
+            ((n1, n2), C(tau.hi + 1, tau.hi + 1 + rng.randint(0, 2)), delta, b, e),
+            # a neighbour sharing tau on the next distances
+            ((n1, n2), tau, C(delta.hi + 1, delta.hi + 2), b, e),
+            # a tuple inside this one
+            ((n1, n2), C(tau.lo, tau.lo), C(delta.lo, delta.lo), b, e),
+            # c: cropped from the start of tau, inside this one; td: a taller rectangle
+            ((n1, n2), tau, C(delta.lo, delta.hi + 1), b, tau.lo - 1),
+        ]
+        for pair, t, d, bb, ee in rng.sample(variants, rng.randint(0, 2)):
+            u = _make(kind, *pair, t, d, bb, ee)
+            if u is not None:
+                out.append(u)
+    return out
+
+
+def test_per_pair_compaction_matches_all_pairs_reference_on_random_lists():
+    rng = random.Random(2024)
+    for _ in range(300):
+        kind = rng.choice(["td", "c"])
+        s = aset(kind, _random_pair_tuples(rng, kind), rng.choice(["discrete", "dense"]))
+        assert len({(u.n1, u.n2) for u in s}) >= 2
+        kept = remove_subsumed(s)
+        assert kept == _reference_remove_subsumed(s)
+        assert greedy_reduce(s) == _reference_greedy_reduce(s)
+        assert greedy_reduce(kept) == _reference_greedy_reduce(kept)
+
+
+def test_per_pair_compaction_matches_all_pairs_reference_on_eval_output():
+    for seed in range(40):
+        G, q = random_instance(seed)
+        for s in (eval_td(G, q), eval_c(G, q)):
+            kept = remove_subsumed(s)
+            assert kept == _reference_remove_subsumed(s)
+            assert greedy_reduce(kept) == _reference_greedy_reduce(kept)
