@@ -16,14 +16,19 @@ join rounds semi-naively, with a round cap against non-terminating dense
 closures.  Each supplies a rule set, ``_Rules``: ``flat(n1, n2, tau)`` builds
 the zero-distance, uncropped tuple of every label, inverse, node filter,
 negation gap and repetition identity; ``nav(G, delta, nodes)`` evaluates
-temporal navigation; ``join(u1, u2)`` composes two tuples into zero or more.
-U^d alone adds ``nav_join``, a join with a trailing navigation fused into a
-unary rule so that navigation is never materialised on its own, and
-``ordered``, which walks the left operands of its joins in canonical order.
+temporal navigation; ``join(u1, u2)`` composes two tuples into zero or more;
+``reach(u1)`` bounds the times at which u1 can arrive, so that a join probes
+only the tuples of its bucket whose time interval can meet them.  U^d has no
+``reach``: its join can fail on a pair before testing whether the pair meets,
+so it probes every pair, walking the left operands in canonical order so that
+such an error always cites the same interval.  U^d alone adds ``nav_join``,
+a join with a trailing navigation fused into a unary rule so that navigation
+is never materialised on its own.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable, NamedTuple, Optional
@@ -97,8 +102,8 @@ class _Rules(NamedTuple):
     flat: Callable
     nav: Callable
     join: Callable
+    reach: Optional[Callable] = None
     nav_join: Optional[Callable] = None
-    ordered: bool = False
 
 
 # --------------------------------------------------------------------------
@@ -148,27 +153,73 @@ def _evaluate(G, q, nodes, rules: _Rules, cap: int) -> set:
         if rules.nav_join is not None and isinstance(q.rhs, q_.TimeNav):
             return rules.nav_join(lhs, q.rhs.delta, G, nodes)
         rhs = _evaluate(G, q.rhs, nodes, rules, cap)
-        return _join_sets(lhs, rhs, rules.join, rules.ordered)
+        return _join_sets(lhs, _buckets(rhs), rules)
     if isinstance(q, q_.Union):
         return _evaluate(G, q.lhs, nodes, rules, cap) | _evaluate(G, q.rhs, nodes, rules, cap)
     if isinstance(q, q_.Repeat):
         base = _evaluate(G, q.inner, nodes, rules, cap)
         identity = {rules.flat(n, n, domain) for n in nodes}
-        join_base = partial(_join_sets, B=base, join=rules.join, ordered=rules.ordered)
+        join_base = partial(_join_sets, buckets=_buckets(base), rules=rules)
         return _repeat_sets(base, q.m, q.n, identity, join_base, cap)
     raise TypeError(f"not a query node: {q!r}")
 
 
-def _join_sets(A, B, join, ordered=False) -> set:
-    """All compositions of a tuple of A with a tuple of B that it chains into."""
-    buckets: dict[str, list] = {}
+def _buckets(B) -> dict:
+    """B grouped by source node into ``(los, tuples, width)`` per node.
+
+    ``tuples`` are sorted by lo(tau), ``los`` are those lower bounds and
+    ``width`` is the widest tau among them.
+    """
+    groups: dict[str, list] = {}
     for u in B:
-        buckets.setdefault(u.n1, []).append(u)
+        groups.setdefault(u.n1, []).append(u)
+    buckets = {}
+    for n, group in groups.items():
+        group.sort(key=lambda u: u.tau.lo)
+        buckets[n] = ([u.tau.lo for u in group], group, max(u.tau.hi - u.tau.lo for u in group))
+    return buckets
+
+
+def _join_sets(A, buckets, rules: _Rules) -> set:
+    """All compositions of a tuple of A with a tuple of B that it chains into.
+
+    ``buckets`` is ``_buckets(B)``.  A tuple u1 of A whose arrivals lie within
+    the closed hull [lo, hi] = ``reach(u1)`` can only chain into the tuples of
+    its bucket whose tau meets that hull: those with lo(tau) <= hi, which
+    start no earlier than lo minus the bucket's widest tau, and with
+    hi(tau) >= lo.  The rest would produce nothing, so they are not probed.
+    """
+    join, reach = rules.join, rules.reach
     out = set()
-    for u1 in sorted(A, key=tuple_sort_key) if ordered else A:
-        for u2 in buckets.get(u1.n2, ()):
-            out.update(join(u1, u2))
+    for u1 in A if reach is not None else sorted(A, key=tuple_sort_key):
+        bucket = buckets.get(u1.n2)
+        if bucket is None:
+            continue
+        los, group, width = bucket
+        if reach is None:
+            for u2 in group:
+                out.update(join(u1, u2))
+            continue
+        lo, hi = reach(u1)
+        for k in range(bisect_left(los, lo - width), bisect_right(los, hi)):
+            u2 = group[k]
+            if u2.tau.hi >= lo:
+                out.update(join(u1, u2))
     return out
+
+
+def _per_node(make, shapes, nodes) -> set:
+    """One tuple ``make(n, n, *shape)`` per node and node-independent shape.
+
+    Temporal navigation relates every node to itself in the same way, so its
+    rules work out the shapes once instead of once per node.
+    """
+    return {make(n, n, *shape) for shape in shapes for n in nodes}
+
+
+def _reach_rect(u: TDTuple | CTuple) -> tuple[Number, Number]:
+    """The closed hull of tau + delta, which holds every arrival of u."""
+    return u.tau.lo + u.delta.lo, u.tau.hi + u.delta.hi
 
 
 def _repeat_sets(base, m, n, identity, join_base, cap):
@@ -244,17 +295,16 @@ def _nav_t(G, delta: Interval, nodes) -> set:
     if not G.discrete:
         d = delta.lo  # singleton, checked up front
         window = iv.intersect(domain, iv.shift(domain, -d))
-        return set() if window is None else {TTuple(n, n, window, d) for n in nodes}
+        return set() if window is None else _per_node(TTuple, [(window, d)], nodes)
     # one tuple per (n, t1, t2): singleton time interval, fixed distance
-    out = set()
+    shapes = []
     for t1 in iv.iter_points(domain):
         landing = iv.intersect(iv.shift(delta, t1), domain)
         if landing is None:
             continue
-        for t2 in iv.iter_points(landing):
-            for n in nodes:
-                out.add(TTuple(n, n, iv.point(t1), t2 - t1))
-    return out
+        departure = iv.point(t1)
+        shapes.extend((departure, t2 - t1) for t2 in iv.iter_points(landing))
+    return _per_node(TTuple, shapes, nodes)
 
 
 def _join_t(u1: TTuple, u2: TTuple) -> tuple[TTuple, ...]:
@@ -264,7 +314,12 @@ def _join_t(u1: TTuple, u2: TTuple) -> tuple[TTuple, ...]:
     return (TTuple(u1.n1, u2.n2, iv.shift(overlap, -u1.d), u1.d + u2.d),)
 
 
-_T_RULES = _Rules(partial(TTuple, d=0), _nav_t, _join_t)
+def _reach_t(u: TTuple) -> tuple[Number, Number]:
+    """The closed hull of tau + d, which holds every arrival of u."""
+    return u.tau.lo + u.d, u.tau.hi + u.d
+
+
+_T_RULES = _Rules(partial(TTuple, d=0), _nav_t, _join_t, _reach_t)
 
 
 # --------------------------------------------------------------------------
@@ -283,7 +338,9 @@ _T_RULES = _Rules(partial(TTuple, d=0), _nav_t, _join_t)
 def eval_d(G: TemporalGraph, q: q_.Trpq, options: Optional[EvalOptions] = None) -> AnswerSet:
     """Inductive evaluation folding distances: tuples (n1, n2, t, delta)."""
     q = q_.adapt_query(q, G.discrete)
-    rules = _Rules(_flat_td, _nav_d, partial(_join_d, G.discrete), _nav_join_d, ordered=True)
+    rules = _Rules(
+        _flat_td, _nav_d, partial(_join_d, G.discrete), nav_join=_nav_join_d
+    )
     groups = _run(G, q, rules, options)
     out = []
     for g in sorted(groups, key=tuple_sort_key):
@@ -303,14 +360,14 @@ def _expand_times(tau: Interval, discrete: bool):
 
 
 def _nav_d(G, delta: Interval, nodes) -> set:
-    out = set()
-    for n in nodes:
-        for t in _expand_times(G.domain, G.discrete):
-            landing = iv.intersect(iv.shift(delta, t), G.domain)
-            if landing is None:
-                continue
-            out.add(TDTuple(n, n, iv.point(t), iv.shift(landing, -t)))
-    return out
+    if not nodes:
+        return set()  # nothing to expand, so no dense-time error either
+    shapes = []
+    for t in _expand_times(G.domain, G.discrete):
+        landing = iv.intersect(iv.shift(delta, t), G.domain)
+        if landing is not None:
+            shapes.append((iv.point(t), iv.shift(landing, -t)))
+    return _per_node(TDTuple, shapes, nodes)
 
 
 def _join_d(discrete: bool, u1: TDTuple, u2: TDTuple) -> list[TDTuple]:
@@ -407,17 +464,18 @@ def eval_td(G: TemporalGraph, q: q_.Trpq, options: Optional[EvalOptions] = None)
 
 
 def _nav_td(G, delta: Interval, nodes) -> set:
-    out = set()
-    for n in nodes:
-        out.update(join_td(TDTuple(n, n, G.domain, delta), _flat_td(n, n, G.domain)))
-    return out
+    if not nodes:
+        return set()
+    n = nodes[0]
+    joined = join_td(TDTuple(n, n, G.domain, delta), _flat_td(n, n, G.domain))
+    return _per_node(TDTuple, [(u.tau, u.delta) for u in joined], nodes)
 
 
 def _join_td(u1: TDTuple, u2: TDTuple) -> tuple[TDTuple, ...]:
     return join_td(u1, u2)
 
 
-_TD_RULES = _Rules(_flat_td, _nav_td, _join_td)
+_TD_RULES = _Rules(_flat_td, _nav_td, _join_td, _reach_rect)
 
 
 # --------------------------------------------------------------------------
@@ -504,13 +562,14 @@ def _join_c(u1: CTuple, u2: CTuple) -> tuple[CTuple, ...]:
 
 
 def _nav_c(G, delta: Interval, nodes) -> set:
-    out = set()
-    for n in nodes:
-        out.update(_join_c(_uncropped(n, n, G.domain, delta), _uncropped(n, n, G.domain)))
-    return out
+    if not nodes:
+        return set()
+    n = nodes[0]
+    joined = _join_c(_uncropped(n, n, G.domain, delta), _uncropped(n, n, G.domain))
+    return _per_node(CTuple, [(u.tau, u.delta, u.b, u.e) for u in joined], nodes)
 
 
-_C_RULES = _Rules(_uncropped, _nav_c, _join_c)
+_C_RULES = _Rules(_uncropped, _nav_c, _join_c, _reach_rect)
 
 
 EVALUATORS = {"t": eval_t, "d": eval_d, "td": eval_td, "c": eval_c}

@@ -125,14 +125,23 @@ def admissible_window(delta: Interval, b: Number, e: Number) -> Optional[Interva
     return Interval(b - w, e + w, True, True)
 
 
-def admissible_times(c: CTuple) -> Optional[Interval]:
-    return admissible_window(c.delta, c.b, c.e)
-
-
 def ctuple_valid(c: CTuple) -> bool:
-    """Endpoint check: delta_t nonempty for every t in tau."""
-    ok = admissible_times(c)
-    return ok is not None and iv.covers(ok, c.tau)
+    """Endpoint check: delta_t nonempty for every t in tau.
+
+    The same test as tau lying within ``admissible_window(c.delta, c.b, c.e)``,
+    made on the endpoints directly: it runs on every join, so it builds no
+    interval.
+    """
+    delta, tau = c.delta, c.tau
+    w = delta.hi - delta.lo
+    first, last = c.b - w, c.e + w  # the admissible window's endpoints
+    if delta.left_closed and delta.right_closed:
+        return w >= c.b - c.e and tau.lo >= first and tau.hi <= last
+    return (
+        w > c.b - c.e
+        and (tau.lo > first or (tau.lo == first and not tau.left_closed))
+        and (tau.hi < last or (tau.hi == last and not tau.right_closed))
+    )
 
 
 def as_td(u: TTuple | DTuple) -> TDTuple:

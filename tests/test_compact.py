@@ -114,11 +114,14 @@ def test_remove_subsumed_singleton():
     assert remove_subsumed(s) == s
 
 
-def test_remove_subsumed_equal_unfoldings_keep_one():
-    # structurally different cropped tuples with identical point sets
+def test_equal_unfoldings_canonicalise_to_one_tuple_before_remove_subsumed():
+    # two spellings of one point set: canonicalisation makes them the same
+    # tuple, so the answer set holds one tuple before remove_subsumed runs
     u = CTuple("a", "b", C(0, 0), C(0, 5), 0, -5)
     v = CTuple("a", "b", C(0, 0), C(0, 0), 0, 0)
+    assert u == v
     s = aset("c", [u, v])
+    assert len(s) == 1
     out = remove_subsumed(s)
     assert len(out) == 1
     assert unfold(out, "c") == unfold(s, "c")

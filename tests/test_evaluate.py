@@ -13,6 +13,7 @@ from trpq import (
     join_td,
     parse_query,
 )
+from trpq import evaluate as ev
 from trpq import intervals as iv
 from trpq.compact import coalesce_d, coalesce_t, minimize_exact
 from trpq.errors import DenseInfeasibleError, FixpointLimitError, InvalidTupleError
@@ -515,6 +516,87 @@ def test_eval_c_dense_diagonal_answer_with_open_navigation():
         C(Fraction(-3, 2), 0), C(1, 4), C(1, 1), C(-4, 7), "e1/T[1,4]/e2"
     )
     assert exact == []
+
+
+# --- bucket joins -------------------------------------------------------------
+
+
+def _reference_join_sets(A, B, join):
+    # the plain bucket loop: every tuple of the bucket is probed
+    buckets = {}
+    for u in B:
+        buckets.setdefault(u.n1, []).append(u)
+    out = set()
+    for u1 in A:
+        for u2 in buckets.get(u1.n2, ()):
+            out.update(join(u1, u2))
+    return out
+
+
+_JOIN_NODES = ("a", "b", "c")
+
+
+def _random_span(rng, dense, lo, hi):
+    # often zero-width; open ends and half steps only over dense time
+    step = Fraction(1, 2) if dense else 1
+    a = lo + step * rng.randint(0, int((hi - lo) / step))
+    b = min(hi, a + step * rng.choice([0, 0, 1, 2, 4, 6]))
+    if a == b or not dense:
+        return C(a, b)
+    return iv.Interval(a, b, rng.random() < 0.5, rng.random() < 0.5)
+
+
+def _random_join_tuple(rng, kind, dense):
+    n1, n2 = rng.choice(_JOIN_NODES), rng.choice(_JOIN_NODES)
+    if rng.random() < 0.1:  # a domain-wide tau among narrow ones widens its bucket's bound
+        tau = C(0, 12)
+    else:
+        tau = _random_span(rng, dense, 0, 12)
+    if kind == "t":
+        return TTuple(n1, n2, tau, _random_span(rng, dense, 0, 4).lo)
+    delta = _random_span(rng, dense, 0, 4)
+    if kind == "td":
+        return TDTuple(n1, n2, tau, delta)
+    crops = [tau.lo, tau.hi, tau.lo - 2, tau.hi + 2, (tau.lo + tau.hi) / 2]
+    return CTuple(n1, n2, tau, delta, rng.choice(crops), rng.choice(crops))
+
+
+@pytest.mark.parametrize("kind, dense", [
+    ("t", False), ("t", True), ("td", False), ("c", False), ("c", True),
+], ids=["t", "t-dense", "td", "c", "c-dense"])
+def test_pruned_join_sets_match_plain_bucket_loop(kind, dense):
+    rules = {"t": ev._T_RULES, "td": ev._TD_RULES, "c": ev._C_RULES}[kind]
+    rng = random.Random(f"{kind}-{dense}")
+    joined = 0
+    for _ in range(150):
+        A, B = [], []
+        for side in (A, B):
+            size = rng.randint(5, 30)
+            while len(side) < size:
+                u = _random_join_tuple(rng, kind, dense)
+                if kind != "c" or ctuple_valid(u):
+                    side.append(u)
+        expected = _reference_join_sets(A, B, rules.join)
+        assert ev._join_sets(A, ev._buckets(B), rules) == expected
+        joined += len(expected)
+    assert joined > 500  # the random sets chain often enough to compare something
+
+
+@pytest.mark.parametrize("evaluator, mode, query", [
+    (eval_t, "dense", "T[2,2]"),
+    (eval_d, "dense", "T[1,3]"),
+    (eval_td, "discrete", "T[1,3]"),
+    (eval_c, "dense", "T[1,3]"),
+], ids=["t", "d", "td", "c"])
+def test_navigation_on_a_graph_without_nodes_is_empty(evaluator, mode, query):
+    # no node to navigate from: no tuple, and no dense-time expansion error
+    g = graph(mode, C(0, 10))
+    assert len(evaluator(g, parse_query(query))) == 0
+
+
+def test_dense_u_t_rejects_wide_navigation_without_nodes():
+    with pytest.raises(DenseInfeasibleError):
+        eval_t(graph("dense", C(0, 10)), parse_query("T[1,3]"))
 
 
 # --- oracle equivalence (sampled here; the full sweep runs in acceptance) ------

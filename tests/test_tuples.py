@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,7 @@ from trpq.tuples import (
     TTuple,
     as_ctuple,
     as_td,
-    admissible_times,
+    admissible_window,
     c_covers,
     ctuple_valid,
     delta_at,
@@ -95,6 +96,37 @@ def test_ctuple_valid_open_endpoint_edge():
     assert not ctuple_valid(closed_at_4)
 
 
+def _reference_ctuple_valid(c):
+    # the definition ctuple_valid implements: tau within the admissible window
+    ok = admissible_window(c.delta, c.b, c.e)
+    return ok is not None and iv.covers(ok, c.tau)
+
+
+def _random_interval(rng, values):
+    lo, hi = sorted((rng.choice(values), rng.choice(values)))
+    if lo == hi or rng.random() < 0.15:  # singletons are closed on both sides
+        return iv.point(lo)
+    return iv.Interval(lo, hi, rng.random() < 0.5, rng.random() < 0.5)
+
+
+def test_ctuple_valid_matches_admissible_window_reference():
+    rng = random.Random(20261018)
+    # int and Fraction endpoints on a half-step grid, so that endpoints tie often
+    values = [Fraction(k, 2) if k % 2 else k // 2 for k in range(-12, 13)]
+    outcomes = {True: 0, False: 0}
+    for _ in range(20_000):
+        tau = _random_interval(rng, values)
+        delta = _random_interval(rng, values)
+        # crop points drawn well past tau on both sides
+        b = rng.choice(values) * 2
+        e = rng.choice(values) * 2
+        c = CTuple("a", "b", tau, delta, b, e)
+        valid = ctuple_valid(c)
+        assert valid == _reference_ctuple_valid(c), c
+        outcomes[valid] += 1
+    assert min(outcomes.values()) > 2_500
+
+
 @st.composite
 def arbitrary_ctuples(draw):
     lo = draw(st.integers(-5, 5))
@@ -117,7 +149,7 @@ def test_validity_check_matches_exhaustive_slices(c):
 @given(arbitrary_ctuples())
 def test_slice_bounds_monotone_for_valid_tuples(c):
     if not ctuple_valid(c):
-        window = admissible_times(c)
+        window = admissible_window(c.delta, c.b, c.e)
         assert window is None or not iv.covers(window, c.tau)
         return
     slices = [(t, delta_at(c, t)) for t in iv.iter_points(c.tau)]
