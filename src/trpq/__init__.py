@@ -36,7 +36,6 @@ from .tuples import (
 )
 from .evaluate import (
     AnswerSet,
-    EvalOptions,
     eval_c,
     eval_d,
     eval_t,
@@ -62,7 +61,6 @@ __all__ = [
     "DTuple",
     "DenseInfeasibleError",
     "EmptyIntervalError",
-    "EvalOptions",
     "FixpointLimitError",
     "GraphParseError",
     "Interval",

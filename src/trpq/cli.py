@@ -19,13 +19,13 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import compact, intervals as iv
+from . import compact
 from .errors import DenseInfeasibleError, TrpqError
-from .evaluate import EVALUATORS, AnswerSet, EvalOptions
+from .evaluate import EVALUATORS, MAX_ITERATIONS, AnswerSet
 from .graph import TemporalGraph, load_graph, scale_graph
 from .oracle import eval_direct
 from .query import parse_query, scale_query
-from .tuples import delta_at, render_tuple
+from .tuples import as_td, cells, render_tuple
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -41,14 +41,21 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise TrpqError(f"{path} is not UTF-8 text: {exc}") from None
+
+
 def _read_graph(path: str) -> TemporalGraph:
-    return load_graph(Path(path).read_text(encoding="utf-8"))
+    return load_graph(_read_text(path))
 
 
 def _read_query(value: str):
     # a value naming an existing file is read from disk, else parsed directly
     if os.path.exists(value):
-        value = Path(value).read_text(encoding="utf-8").strip()
+        value = _read_text(value).strip()
     return parse_query(value)
 
 
@@ -59,14 +66,14 @@ def _int(text: str, what: str) -> int:
         raise _UsageError(f"{what} must be an integer, got {text!r}") from None
 
 
-def _eval_options(args) -> EvalOptions:
+def _max_iterations(args) -> int:
     cap, source = args.max_iterations, "--max-iterations"
     if cap is None:
         source = "TRPQ_MAX_ITER"
-        cap = _int(os.environ.get(source, "10000"), source)
+        cap = _int(os.environ.get(source, str(MAX_ITERATIONS)), source)
     if cap < 1:
         raise _UsageError(f"{source} must be a positive integer, got {cap}")
-    return EvalOptions(max_iterations=cap)
+    return cap
 
 
 def _coalesce(answers: AnswerSet) -> AnswerSet:
@@ -82,13 +89,14 @@ def _reduce(answers: AnswerSet) -> AnswerSet:
 
 
 def _evaluate(G, q, args) -> AnswerSet:
-    opts = _eval_options(args)
+    cap = _max_iterations(args)
+    if args.disjoint and args.minimize != "exact":
+        raise _UsageError("--disjoint applies only with --minimize exact")
     if args.repr == "point":
         if args.coalesce or args.minimize:
             raise _UsageError("--coalesce and --minimize do not apply to --repr point")
-        points = eval_direct(G, q, max_iterations=opts.max_iterations)
-        return AnswerSet("point", G.mode, points)
-    answers = EVALUATORS[args.repr](G, q, opts)
+        return AnswerSet("point", G.mode, eval_direct(G, q, max_iterations=cap))
+    answers = EVALUATORS[args.repr](G, q, max_iterations=cap)
     if args.coalesce:
         answers = _coalesce(answers)
     if args.minimize:
@@ -113,10 +121,10 @@ def _cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _compact_count(G, q, repr_name, opts) -> int:
+def _compact_count(G, q, repr_name, cap) -> int:
     if repr_name not in EVALUATORS:
         raise _UsageError(f"stats supports representations t, d, td, c; got {repr_name!r}")
-    answers = EVALUATORS[repr_name](G, q, opts)
+    answers = EVALUATORS[repr_name](G, q, max_iterations=cap)
     # coalescing gives the unique minimal form in U^t and U^d; rectangles are reduced greedily
     return len(_coalesce(answers) if repr_name in ("t", "d") else _reduce(answers))
 
@@ -128,7 +136,7 @@ def _cmd_stats(args) -> int:
     factors = [_int(f, "--factors") for f in args.factors.split(",") if f.strip()]
     if any(f < 1 for f in factors):
         raise _UsageError(f"--factors must be positive integers, got {args.factors!r}")
-    opts = _eval_options(args)
+    cap = _max_iterations(args)
     print("factor,repr,tuple_count")
     for factor in factors:
         if args.scale == "graph":
@@ -136,7 +144,7 @@ def _cmd_stats(args) -> int:
         else:
             Gf, qf = G, scale_query(q, factor)
         for repr_name in reprs:
-            print(f"{factor},{repr_name},{_compact_count(Gf, qf, repr_name, opts)}")
+            print(f"{factor},{repr_name},{_compact_count(Gf, qf, repr_name, cap)}")
     return EXIT_OK
 
 
@@ -216,45 +224,28 @@ def _plot_shapes(answers: AnswerSet, pair, discrete: bool) -> tuple[list[str], l
         if answers.kind == "point":
             shapes.append(_rect(u.t, u.d, u.t + 1, u.d + 1, "cell"))
             note(u.t, u.t + 1, u.d, u.d + 1)
-        elif answers.kind == "t":
-            shapes.append(_rect(u.tau.lo, u.d, u.tau.hi + pad, u.d + pad, "box"))
-            note(u.tau.lo, u.tau.hi + pad, u.d, u.d + pad)
-        elif answers.kind == "d":
-            shapes.append(_rect(u.t, u.delta.lo, u.t + pad, u.delta.hi + pad, "box"))
-            note(u.t, u.t + pad, u.delta.lo, u.delta.hi + pad)
-        elif answers.kind == "td":
+            continue
+        box = u if answers.kind in ("td", "c") else as_td(u)
+        note(box.tau.lo, box.tau.hi + pad, box.delta.lo, box.delta.hi + pad)
+        if answers.kind != "c":
             shapes.append(
-                _rect(u.tau.lo, u.delta.lo, u.tau.hi + pad, u.delta.hi + pad, "box")
+                _rect(box.tau.lo, box.delta.lo, box.tau.hi + pad, box.delta.hi + pad, "box")
             )
-            note(u.tau.lo, u.tau.hi + pad, u.delta.lo, u.delta.hi + pad)
-        elif answers.kind == "c":
-            note(u.tau.lo, u.tau.hi + pad, u.delta.lo, u.delta.hi + pad)
-            if discrete:
-                cells = set()
-                for t in iv.iter_points(u.tau):
-                    sl = delta_at(u, t)
-                    if sl is None:
-                        continue
-                    for d in iv.iter_points(sl):
-                        cells.add((t, d))
-                fills = [_rect(t, d, t + 1, d + 1, "fill") for t, d in sorted(cells)]
-                shapes.extend(fills)
-                shapes.append(_cells_outline(cells))
-            else:
-                rect = [
-                    (u.tau.lo, u.delta.lo),
-                    (u.tau.hi, u.delta.lo),
-                    (u.tau.hi, u.delta.hi),
-                    (u.tau.lo, u.delta.hi),
-                ]
-                low = u.b + u.delta.lo
-                high = u.e + u.delta.hi
-                pts = _clip_band(rect, low, high)
-                if pts:
-                    rendered = " ".join(
-                        f"{_num(x * _CELL)},{_num(y * _CELL)}" for x, y in pts
-                    )
-                    shapes.append(f'<polygon class="box" points="{rendered}"/>')
+        elif discrete:
+            body = list(cells(u))  # increasing (t, d), no repeats
+            shapes.extend(_rect(t, d, t + 1, d + 1, "fill") for t, d in body)
+            shapes.append(_cells_outline(body))
+        else:
+            rect = [
+                (u.tau.lo, u.delta.lo),
+                (u.tau.hi, u.delta.lo),
+                (u.tau.hi, u.delta.hi),
+                (u.tau.lo, u.delta.hi),
+            ]
+            pts = _clip_band(rect, u.b + u.delta.lo, u.e + u.delta.hi)
+            if pts:
+                rendered = " ".join(f"{_num(x * _CELL)},{_num(y * _CELL)}" for x, y in pts)
+                shapes.append(f'<polygon class="box" points="{rendered}"/>')
     return shapes, extents
 
 
@@ -340,7 +331,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--graph", required=True, help="graph document path")
         p.add_argument("--query", required=True, help="query string or file path")
         p.add_argument("--max-iterations", type=int, default=None,
-                       help="fixpoint round cap (default: env TRPQ_MAX_ITER or 10000)")
+                       help=f"fixpoint round cap (default: env TRPQ_MAX_ITER or {MAX_ITERATIONS})")
 
     p_eval = sub.add_parser("eval", help="evaluate a query")
     common(p_eval)

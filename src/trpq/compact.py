@@ -9,7 +9,7 @@ oracle (overlapping covers or disjoint ones).
 
 from __future__ import annotations
 
-from itertools import groupby
+from itertools import combinations_with_replacement, groupby, product
 from typing import Optional
 
 from . import intervals as iv
@@ -22,10 +22,8 @@ from .tuples import (
     TDTuple,
     TTuple,
     c_covers,
-    coalesce_d_tuples,
-    coalesce_t_tuples,
+    cells,
     ctuple_valid,
-    delta_at,
     td_covers,
     tuple_sort_key,
     unfold,
@@ -37,16 +35,27 @@ _MAX_COVERS = 256
 
 def coalesce_t(s: AnswerSet) -> AnswerSet:
     """The unique compact form in U^t: per (n1, n2, d), coalesced time intervals."""
-    if s.kind != "t":
-        raise ValueError(f"coalesce_t expects a U^t answer set, got {s.kind!r}")
-    return AnswerSet("t", s.mode, coalesce_t_tuples(s.tuples, discrete=s.mode == "discrete"))
+    return _coalesce_rows(s, "t", TTuple, fixed="d", folded="tau")
 
 
 def coalesce_d(s: AnswerSet) -> AnswerSet:
     """The unique compact form in U^d: per (n1, n2, t), coalesced distance intervals."""
-    if s.kind != "d":
-        raise ValueError(f"coalesce_d expects a U^d answer set, got {s.kind!r}")
-    return AnswerSet("d", s.mode, coalesce_d_tuples(s.tuples, discrete=s.mode == "discrete"))
+    return _coalesce_rows(s, "d", DTuple, fixed="t", folded="delta")
+
+
+def _coalesce_rows(s: AnswerSet, kind: str, make, *, fixed: str, folded: str) -> AnswerSet:
+    """Group the tuples by (n1, n2, ``fixed``) and coalesce each group's ``folded`` intervals."""
+    if s.kind != kind:
+        raise ValueError(f"coalesce_{kind} expects a U^{kind} answer set, got {s.kind!r}")
+    rows: dict[tuple, list[Interval]] = {}
+    for u in s:
+        rows.setdefault((u.n1, u.n2, getattr(u, fixed)), []).append(getattr(u, folded))
+    discrete = s.mode == "discrete"
+    return AnswerSet(kind, s.mode, [
+        make(n1=n1, n2=n2, **{fixed: value, folded: x})
+        for (n1, n2, value), xs in rows.items()
+        for x in iv.coalesce(xs, discrete=discrete)
+    ])
 
 
 def _covers_fn(kind: str):
@@ -93,17 +102,6 @@ def remove_subsumed(s: AnswerSet) -> AnswerSet:
 # --------------------------------------------------------------------------
 
 
-def _cells_c(u: CTuple) -> frozenset:
-    out = set()
-    for t in iv.iter_points(u.tau):
-        sl = delta_at(u, t)
-        if sl is None:
-            continue
-        for d in iv.iter_points(sl):
-            out.add((t, d))
-    return frozenset(out)
-
-
 def _try_merge_td(a: TDTuple, b: TDTuple, discrete: bool) -> Optional[TDTuple]:
     if (a.n1, a.n2) != (b.n1, b.n2):
         return None
@@ -142,7 +140,7 @@ def _try_merge_c(a: CTuple, b: CTuple, discrete: bool) -> Optional[CTuple]:
     low = min(a.b + a.delta.lo, b.b + b.delta.lo)
     high = max(a.e + a.delta.hi, b.e + b.delta.hi)
     merged = CTuple(a.n1, a.n2, tau, delta, low - delta.lo, high - delta.hi)
-    if ctuple_valid(merged) and _cells_c(merged) == _cells_c(a) | _cells_c(b):
+    if ctuple_valid(merged) and set(cells(merged)) == {*cells(a), *cells(b)}:
         return merged
     return None
 
@@ -189,81 +187,55 @@ def greedy_reduce(s: AnswerSet) -> AnswerSet:
 
 def _regions_by_pair(s: AnswerSet) -> dict[tuple[str, str], set]:
     regions: dict[tuple[str, str], set] = {}
-    for p in unfold(s, s.kind):
-        regions.setdefault((p.n1, p.n2), set()).add((p.t, p.d))
-    for pair, cells in regions.items():
-        if len(cells) > _MAX_CELLS:
+    for u in s:
+        regions.setdefault((u.n1, u.n2), set()).update(cells(u))
+    for pair, region in regions.items():
+        if len(region) > _MAX_CELLS:
             raise MinimizeGuardError(
-                f"answer region for {pair} has {len(cells)} cells "
+                f"answer region for {pair} has {len(region)} cells "
                 f"(the exact minimizer is guarded at {_MAX_CELLS})"
             )
     return regions
 
 
-def _candidate_rects(cells: set) -> list[tuple[frozenset, Interval, Interval]]:
-    ts = sorted({t for t, _ in cells})
-    ds = sorted({d for _, d in cells})
-    out = []
-    for i, t1 in enumerate(ts):
-        for t2 in ts[i:]:
-            for k, d1 in enumerate(ds):
-                for d2 in ds[k:]:
-                    rect = {
-                        (t, d)
-                        for t in range(t1, t2 + 1)
-                        for d in range(d1, d2 + 1)
-                    }
-                    if rect <= cells:
-                        out.append((frozenset(rect), iv.closed(t1, t2), iv.closed(d1, d2)))
-    return out
+def _candidates(
+    kind: str, region: set, n1: str, n2: str
+) -> list[tuple[frozenset, TDTuple | CTuple]]:
+    """Every rectangle (U^td) or cropped rectangle (U^c) whose cells lie in the region.
 
-
-def _candidates_td(cells: set, n1: str, n2: str) -> dict[frozenset, TDTuple]:
-    by_cells: dict[frozenset, TDTuple] = {}
-    for rect, tau, delta in _candidate_rects(cells):
-        cand = TDTuple(n1, n2, tau, delta)
-        if rect not in by_cells or tuple_sort_key(cand) < tuple_sort_key(by_cells[rect]):
-            by_cells[rect] = cand
-    return by_cells
-
-
-def _candidates_c(cells: set, n1: str, n2: str) -> dict[frozenset, CTuple]:
-    """Cropped-rectangle candidates: rectangles clipped to anti-diagonal bands.
-
-    Bands are generated from the t+d sums occurring in the region, which is
-    where any useful crop line must sit.
+    Corners are taken from the region's coordinates and crop lines from the
+    t+d sums occurring in it, which is where any useful crop line must sit.
+    Of the candidates with the same cells the first in canonical order stays.
     """
-    ts = sorted({t for t, _ in cells})
-    ds = sorted({d for _, d in cells})
-    sums = sorted({t + d for t, d in cells})
-    by_cells: dict[frozenset, CTuple] = {}
-    for i, t1 in enumerate(ts):
-        for t2 in ts[i:]:
-            for k, d1 in enumerate(ds):
-                for d2 in ds[k:]:
-                    for low in sums:
-                        if low > t2 + d2:
-                            break
-                        for high in sums:
-                            if high < low:
-                                continue
-                            cand = CTuple(
-                                n1, n2,
-                                iv.closed(t1, t2),
-                                iv.closed(d1, d2),
-                                low - d1,
-                                high - d2,
-                            )
-                            if not ctuple_valid(cand):
-                                continue
-                            body = _cells_c(cand)
-                            if not body or not body <= cells:
-                                continue
-                            if body not in by_cells or tuple_sort_key(cand) < tuple_sort_key(
-                                by_cells[body]
-                            ):
-                                by_cells[body] = cand
-    return by_cells
+    ts = sorted({t for t, _ in region})
+    ds = sorted({d for _, d in region})
+    sums = sorted({t + d for t, d in region})
+    by_cells: dict[frozenset, TDTuple | CTuple] = {}
+    corners = product(combinations_with_replacement(ts, 2), combinations_with_replacement(ds, 2))
+    for (t1, t2), (d1, d2) in corners:
+        for cand in _shapes(kind, n1, n2, iv.closed(t1, t2), iv.closed(d1, d2), sums):
+            body = frozenset(cells(cand))
+            if not body or not body <= region:
+                continue
+            kept = by_cells.get(body)
+            if kept is None or tuple_sort_key(cand) < tuple_sort_key(kept):
+                by_cells[body] = cand
+    return list(by_cells.items())
+
+
+def _shapes(kind: str, n1: str, n2: str, tau: Interval, delta: Interval, sums: list):
+    """The candidates on one rectangle: itself in U^td, its valid crops in U^c."""
+    if kind == "td":
+        yield TDTuple(n1, n2, tau, delta)
+        return
+    for low in sums:
+        if low > tau.hi + delta.hi:
+            break
+        for high in sums:
+            if high >= low:
+                cand = CTuple(n1, n2, tau, delta, low - delta.lo, high - delta.hi)
+                if ctuple_valid(cand):
+                    yield cand
 
 
 def _search_covers(region: frozenset, candidates: list, disjoint: bool) -> list[frozenset]:
@@ -335,27 +307,35 @@ def _minimize_rows(s: AnswerSet) -> AnswerSet:
     return AnswerSet(s.kind, s.mode, out)
 
 
+def _check_exact(s: AnswerSet, mode: str, kinds: tuple[str, ...]) -> None:
+    if mode not in ("overlapping", "disjoint"):
+        raise ValueError(f"unknown minimization mode {mode!r}")
+    if s.mode != "discrete":
+        raise DenseInfeasibleError("dense time: exact minimization works on discrete regions")
+    if s.kind not in kinds:
+        raise ValueError(f"cannot minimize representation {s.kind!r} here; expected one of {kinds}")
+
+
+def _pair_covers(s: AnswerSet, pair: tuple[str, str], region: set, mode: str) -> list[frozenset]:
+    """All minimum covers of one node pair's region by candidate tuples of ``s.kind``."""
+    candidates = _candidates(s.kind, region, *pair)
+    return _search_covers(frozenset(region), candidates, mode == "disjoint")
+
+
 def minimum_covers(s: AnswerSet, mode: str = "overlapping") -> list[AnswerSet]:
     """All minimum covers of a single-node-pair answer region (tiny instances).
 
     ``mode`` is ``overlapping`` or ``disjoint``.  Returns one AnswerSet per
     distinct minimum cover, canonically ordered.
     """
-    if mode not in ("overlapping", "disjoint"):
-        raise ValueError(f"unknown minimization mode {mode!r}")
-    if s.mode != "discrete":
-        raise DenseInfeasibleError("dense time: exact minimization works on discrete regions")
-    if s.kind not in ("td", "c"):
-        raise ValueError("cover enumeration is defined for U^td and U^c")
+    _check_exact(s, mode, ("td", "c"))
     regions = _regions_by_pair(s)
     if len(regions) > 1:
         raise ValueError("cover enumeration expects a single node pair")
     if not regions:
         return [AnswerSet(s.kind, s.mode, ())]
-    (pair, cells), = regions.items()
-    gen = _candidates_td if s.kind == "td" else _candidates_c
-    candidates = list(gen(cells, *pair).items())
-    covers = _search_covers(frozenset(cells), candidates, mode == "disjoint")
+    (pair, region), = regions.items()
+    covers = _pair_covers(s, pair, region, mode)
     answer_sets = [AnswerSet(s.kind, s.mode, cover) for cover in covers]
     answer_sets.sort(key=lambda a: tuple(tuple_sort_key(u) for u in a.tuples))
     return answer_sets
@@ -369,23 +349,11 @@ def minimize_exact(s: AnswerSet, mode: str = "overlapping") -> AnswerSet:
     generated from region coordinates and a minimum set cover is found by
     branch and bound, per node pair.  Guarded to tiny discrete instances.
     """
-    if mode not in ("overlapping", "disjoint"):
-        raise ValueError(f"unknown minimization mode {mode!r}")
-    if s.mode != "discrete":
-        raise DenseInfeasibleError("dense time: exact minimization works on discrete regions")
+    _check_exact(s, mode, ("t", "d", "td", "c"))
     if s.kind in ("t", "d"):
         return _minimize_rows(s)
-    if s.kind not in ("td", "c"):
-        raise ValueError(f"cannot minimize representation {s.kind!r}")
-    regions = _regions_by_pair(s)
-    gen = _candidates_td if s.kind == "td" else _candidates_c
     chosen = []
-    for pair, cells in sorted(regions.items()):
-        candidates = list(gen(cells, *pair).items())
-        covers = _search_covers(frozenset(cells), candidates, mode == "disjoint")
-        best = min(
-            covers,
-            key=lambda cover: tuple(sorted(tuple_sort_key(u) for u in cover)),
-        )
-        chosen.extend(best)
+    for pair, region in sorted(_regions_by_pair(s).items()):
+        covers = _pair_covers(s, pair, region, mode)
+        chosen.extend(min(covers, key=lambda cover: tuple(sorted(map(tuple_sort_key, cover)))))
     return AnswerSet(s.kind, s.mode, chosen)

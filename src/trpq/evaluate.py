@@ -29,7 +29,6 @@ is never materialised on its own.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable, NamedTuple, Optional
 
@@ -50,16 +49,10 @@ from .tuples import (
 )
 
 KINDS = ("point", "t", "d", "td", "c")
+MAX_ITERATIONS = 10_000  # default cap on the rounds of unbounded-repetition closure
 
 _ZERO = iv.point(0)
 _flat_td = partial(TDTuple, delta=_ZERO)  # also the shape of a U^d group
-
-
-@dataclass
-class EvalOptions:
-    """Evaluator knobs: ``max_iterations`` caps the rounds of unbounded-repetition closure."""
-
-    max_iterations: int = 10_000
 
 
 class AnswerSet:
@@ -111,8 +104,7 @@ class _Rules(NamedTuple):
 # --------------------------------------------------------------------------
 
 
-def _run(G: TemporalGraph, q: q_.Trpq, rules: _Rules, options: Optional[EvalOptions]) -> set:
-    cap = (options if options is not None else EvalOptions()).max_iterations
+def _run(G: TemporalGraph, q: q_.Trpq, rules: _Rules, cap: int) -> set:
     return _evaluate(G, q, sorted(graph_nodes(G)), rules, cap)
 
 
@@ -282,12 +274,12 @@ def _check_dense_t_feasible(q: q_.Trpq):
         _check_dense_t_feasible(child)
 
 
-def eval_t(G: TemporalGraph, q: q_.Trpq, options: Optional[EvalOptions] = None) -> AnswerSet:
+def eval_t(G: TemporalGraph, q: q_.Trpq, *, max_iterations: int = MAX_ITERATIONS) -> AnswerSet:
     """Inductive evaluation folding time points: tuples (n1, n2, tau, d)."""
     q = q_.adapt_query(q, G.discrete)
     if not G.discrete:
         _check_dense_t_feasible(q)
-    return AnswerSet("t", G.mode, _run(G, q, _T_RULES, options))
+    return AnswerSet("t", G.mode, _run(G, q, _T_RULES, max_iterations))
 
 
 def _nav_t(G, delta: Interval, nodes) -> set:
@@ -335,13 +327,13 @@ _T_RULES = _Rules(partial(TTuple, d=0), _nav_t, _join_t, _reach_t)
 # canonical order so that such an error always cites the same interval.
 
 
-def eval_d(G: TemporalGraph, q: q_.Trpq, options: Optional[EvalOptions] = None) -> AnswerSet:
+def eval_d(G: TemporalGraph, q: q_.Trpq, *, max_iterations: int = MAX_ITERATIONS) -> AnswerSet:
     """Inductive evaluation folding distances: tuples (n1, n2, t, delta)."""
     q = q_.adapt_query(q, G.discrete)
     rules = _Rules(
         _flat_td, _nav_d, partial(_join_d, G.discrete), nav_join=_nav_join_d
     )
-    groups = _run(G, q, rules, options)
+    groups = _run(G, q, rules, max_iterations)
     out = []
     for g in sorted(groups, key=tuple_sort_key):
         for t in _expand_times(g.tau, G.discrete):
@@ -450,12 +442,12 @@ def join_td(u1: TDTuple, u2: TDTuple) -> tuple[TDTuple, ...]:
     return tuple(out)
 
 
-def eval_td(G: TemporalGraph, q: q_.Trpq, options: Optional[EvalOptions] = None) -> AnswerSet:
+def eval_td(G: TemporalGraph, q: q_.Trpq, *, max_iterations: int = MAX_ITERATIONS) -> AnswerSet:
     """Inductive evaluation folding both dimensions into plain rectangles."""
     if not G.discrete:
         raise DenseInfeasibleError("dense time: U^td may require infinitely many rectangles")
     q = q_.adapt_query(q, True)
-    return AnswerSet("td", G.mode, _run(G, q, _TD_RULES, options))
+    return AnswerSet("td", G.mode, _run(G, q, _TD_RULES, max_iterations))
 
 
 # The U^td and U^c rules look join_td and join_c up by their module-level
@@ -546,10 +538,10 @@ def join_c(u1: CTuple, u2: CTuple) -> Optional[CTuple]:
     return result
 
 
-def eval_c(G: TemporalGraph, q: q_.Trpq, options: Optional[EvalOptions] = None) -> AnswerSet:
+def eval_c(G: TemporalGraph, q: q_.Trpq, *, max_iterations: int = MAX_ITERATIONS) -> AnswerSet:
     """Inductive evaluation with cropped rectangles; finite over both modes."""
     q = q_.adapt_query(q, G.discrete)
-    return AnswerSet("c", G.mode, _run(G, q, _C_RULES, options))
+    return AnswerSet("c", G.mode, _run(G, q, _C_RULES, max_iterations))
 
 
 def _uncropped(n1: str, n2: str, tau: Interval, delta: Interval = _ZERO) -> CTuple:

@@ -11,7 +11,7 @@ import re
 from dataclasses import dataclass, field
 
 from . import intervals as iv
-from .errors import EmptyIntervalError, GraphParseError, IntervalDomainError
+from .errors import EmptyIntervalError, GraphParseError, IntervalDomainError, TrpqError
 from .intervals import Interval
 
 DISCRETE = "discrete"
@@ -70,7 +70,10 @@ def _parse_intervals(rest: str, line_no: int, offset: int) -> list[Interval]:
                 line=line_no,
                 column=offset + cursor + 1,
             )
-        found.append(iv.parse_interval(m.group(0)))
+        try:
+            found.append(iv.parse_interval(m.group(0)))
+        except TrpqError as exc:
+            raise GraphParseError(str(exc), line=line_no, column=offset + m.start() + 1) from None
         cursor = m.end()
     if rest[cursor:].strip():
         raise GraphParseError(
@@ -118,7 +121,7 @@ def load_graph(text: str) -> TemporalGraph:
                 raise GraphParseError("duplicate domain header", line=line_no)
             try:
                 domain = iv.parse_interval(rest)
-            except EmptyIntervalError as exc:
+            except TrpqError as exc:
                 raise GraphParseError(f"bad domain: {exc}", line=line_no) from exc
             continue
         if mode is None or domain is None:

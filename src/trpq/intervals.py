@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .errors import EmptyIntervalError, IntervalDomainError, ModeError
+from .errors import EmptyIntervalError, IntervalDomainError, ModeError, TrpqError
 
 Number = int | Fraction
 
@@ -33,12 +33,22 @@ _INTERVAL_RE = re.compile(
 
 
 def parse_number(text: str) -> Number:
-    """Parse an exact number: integer, ``p/q`` rational, or decimal literal."""
+    """Parse an exact number: integer, ``p/q`` rational, or decimal literal.
+
+    A zero denominator, a malformed literal, or one with more digits than the
+    interpreter converts to an integer (4,300 by default) raises TrpqError.
+    """
     text = text.strip()
-    if "/" in text or "." in text:
-        value = Fraction(text)
-        return int(value) if value.denominator == 1 else value
-    return int(text)
+    shown = text if len(text) <= 40 else f"{text[:20]}...{text[-10:]} ({len(text)} characters)"
+    try:
+        if "/" in text or "." in text:
+            value = Fraction(text)
+            return int(value) if value.denominator == 1 else value
+        return int(text)
+    except ZeroDivisionError:
+        raise TrpqError(f"number {shown} has a zero denominator") from None
+    except ValueError:
+        raise TrpqError(f"cannot read number {shown}: malformed or too many digits") from None
 
 
 def format_number(x: Number) -> str:

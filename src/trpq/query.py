@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional, Union as TUnion
 
 from . import intervals as iv
-from .errors import EmptyIntervalError, QueryParseError
+from .errors import EmptyIntervalError, QueryParseError, TrpqError
 from .intervals import Interval, Number
 
 
@@ -254,19 +254,24 @@ class _Parser:
         return Repeat(inner, m, n)
 
     def parse_nat(self) -> int:
-        kind, value, pos = self.next()
-        if kind != "number" or not value.isdigit():
-            raise QueryParseError(f"expected a natural number, got {value!r}", position=pos)
-        return int(value)
+        tok = self.next()
+        if tok[0] != "number" or not tok[1].isdigit():
+            raise QueryParseError(f"expected a natural number, got {tok[1]!r}", position=tok[2])
+        return self.number(tok)
 
     def parse_number(self) -> Number:
         negative = False
         if self.peek()[0] == "-":
             self.next()
             negative = True
-        tok = self.expect("number")
-        value = iv.parse_number(tok[1])
+        value = self.number(self.expect("number"))
         return -value if negative else value
+
+    def number(self, tok: tuple[str, str, int]) -> Number:
+        try:
+            return iv.parse_number(tok[1])
+        except TrpqError as exc:
+            raise QueryParseError(str(exc), position=tok[2]) from None
 
     def parse_interval(self) -> Interval:
         open_tok = self.next()

@@ -159,57 +159,45 @@ def as_ctuple(u: TDTuple) -> CTuple:
 # --- unfoldings (discrete time only) ----------------------------------------
 
 
-def _require_discrete(tuples, kind: str):
-    mode = getattr(tuples, "mode", "discrete")
-    if mode != "discrete":
-        raise DenseInfeasibleError(f"dense time: unfolding a {kind} set is infinite")
-    return getattr(tuples, "tuples", tuples)
+def cells(u: TTuple | DTuple | TDTuple | CTuple):
+    """The (t, d) points of one tuple, by increasing t then d (discrete time only).
 
-
-def unfold_t(tuples: Iterable[TTuple]) -> frozenset[PointTuple]:
-    items = _require_discrete(tuples, "U^t")
-    out = set()
-    for u in items:
-        for t in iv.iter_points(u.tau):
-            out.add(PointTuple(u.n1, u.n2, t, u.d))
-    return frozenset(out)
-
-
-def unfold_d(tuples: Iterable[DTuple]) -> frozenset[PointTuple]:
-    items = _require_discrete(tuples, "U^d")
-    out = set()
-    for u in items:
-        for d in iv.iter_points(u.delta):
-            out.add(PointTuple(u.n1, u.n2, u.t, d))
-    return frozenset(out)
-
-
-def unfold_td(tuples: Iterable[TDTuple]) -> frozenset[PointTuple]:
-    items = _require_discrete(tuples, "U^td")
-    out = set()
-    for u in items:
-        for t in iv.iter_points(u.tau):
-            for d in iv.iter_points(u.delta):
-                out.add(PointTuple(u.n1, u.n2, t, d))
-    return frozenset(out)
-
-
-def unfold_c(tuples: Iterable[CTuple]) -> frozenset[PointTuple]:
-    items = _require_discrete(tuples, "U^c")
-    out = set()
-    for u in items:
-        for t in iv.iter_points(u.tau):
-            sl = delta_at(u, t)
-            if sl is None:
-                continue
+    A ``t``, ``d`` or ``td`` tuple is embedded as an uncropped cropped rectangle
+    first, so that one slice rule serves all four kinds.
+    """
+    if not isinstance(u, CTuple):
+        u = as_ctuple(u if isinstance(u, TDTuple) else as_td(u))
+    for t in iv.iter_points(u.tau):
+        sl = delta_at(u, t)
+        if sl is not None:
             for d in iv.iter_points(sl):
-                out.add(PointTuple(u.n1, u.n2, t, d))
-    return frozenset(out)
+                yield t, d
 
 
 def unfold(tuples, kind: str) -> frozenset[PointTuple]:
-    return {"point": lambda s: frozenset(getattr(s, "tuples", s)),
-            "t": unfold_t, "d": unfold_d, "td": unfold_td, "c": unfold_c}[kind](tuples)
+    """The point tuples of a set of ``kind`` tuples, or of an AnswerSet."""
+    items = getattr(tuples, "tuples", tuples)
+    if kind == "point":
+        return frozenset(items)
+    if getattr(tuples, "mode", "discrete") != "discrete":
+        raise DenseInfeasibleError(f"dense time: unfolding a U^{kind} set is infinite")
+    return frozenset(PointTuple(u.n1, u.n2, t, d) for u in items for t, d in cells(u))
+
+
+def unfold_t(tuples: Iterable[TTuple]) -> frozenset[PointTuple]:
+    return unfold(tuples, "t")
+
+
+def unfold_d(tuples: Iterable[DTuple]) -> frozenset[PointTuple]:
+    return unfold(tuples, "d")
+
+
+def unfold_td(tuples: Iterable[TDTuple]) -> frozenset[PointTuple]:
+    return unfold(tuples, "td")
+
+
+def unfold_c(tuples: Iterable[CTuple]) -> frozenset[PointTuple]:
+    return unfold(tuples, "c")
 
 
 # --- containment ------------------------------------------------------------
@@ -283,33 +271,6 @@ def c_covers(u: CTuple, v: CTuple) -> bool:
         breaks,
         tie_ok=u.delta.right_closed or not v.delta.right_closed,
     )
-
-
-# --- coalescing primitives ---------------------------------------------------
-
-
-def coalesce_t_tuples(tuples: Iterable[TTuple], *, discrete: bool) -> list[TTuple]:
-    """Group by (n1, n2, d) and coalesce the time intervals."""
-    groups: dict[tuple[str, str, Number], list[Interval]] = {}
-    for u in tuples:
-        groups.setdefault((u.n1, u.n2, u.d), []).append(u.tau)
-    out = []
-    for (n1, n2, d), taus in sorted(groups.items(), key=lambda kv: kv[0]):
-        for tau in iv.coalesce(taus, discrete=discrete):
-            out.append(TTuple(n1, n2, tau, d))
-    return out
-
-
-def coalesce_d_tuples(tuples: Iterable[DTuple], *, discrete: bool) -> list[DTuple]:
-    """Group by (n1, n2, t) and coalesce the distance intervals."""
-    groups: dict[tuple[str, str, Number], list[Interval]] = {}
-    for u in tuples:
-        groups.setdefault((u.n1, u.n2, u.t), []).append(u.delta)
-    out = []
-    for (n1, n2, t), deltas in sorted(groups.items(), key=lambda kv: kv[0]):
-        for delta in iv.coalesce(deltas, discrete=discrete):
-            out.append(DTuple(n1, n2, t, delta))
-    return out
 
 
 # --- rendering and ordering ---------------------------------------------------

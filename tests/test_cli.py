@@ -358,3 +358,70 @@ def test_eval_output_independent_of_hash_seed(workdir, graph, query, repr_name):
         results.append((proc.returncode, proc.stdout, proc.stderr))
     assert results[0] == results[1]
     assert results[0][0] in (0, 2)
+
+
+LONG = "9" * 5000  # more digits than the interpreter converts to an integer
+
+
+@pytest.mark.parametrize(
+    "graph, query, where",
+    [
+        ("mode discrete\ndomain [0,5]\na e b [0,1/0]\n", "e", "line 3"),
+        ("mode dense\ndomain [0,5]\na e b [1/0,1]\n", "e", "line 3"),
+        (f"mode discrete\ndomain [0,{LONG}]\na e b [0,1]\n", "e", "line 2"),
+        (f"mode discrete\ndomain [0,5]\na e b [0,{LONG}]\n", "e", "line 3"),
+        (f"mode dense\ndomain [0,5]\na e b [0,1.{LONG}]\n", "e", "line 3"),
+        ("mode discrete\ndomain [0,5]\na e b [0,1]\n", "T[0,1/0]", "position 4"),
+        ("mode discrete\ndomain [0,5]\na e b [0,1]\n", "(<=1/0)", "position 3"),
+        ("mode discrete\ndomain [0,5]\na e b [0,1]\n", f"e[0,{LONG}]", "position 4"),
+        ("mode discrete\ndomain [0,5]\na e b [0,1]\n", f"e[{LONG},_]", "position 2"),
+        ("mode discrete\ndomain [0,5]\na e b [0,1]\n", f"e/T[-{LONG},1]", "position 5"),
+    ],
+    ids=[
+        "graph-zero-denominator", "graph-dense-zero-denominator", "graph-long-domain-bound",
+        "graph-long-fact-bound", "graph-long-decimal", "query-nav-zero-denominator",
+        "query-time-bound-zero-denominator", "query-long-repeat-bound",
+        "query-long-repeat-lower-bound", "query-long-nav-bound",
+    ],
+)
+def test_bad_numeric_literal_exits_1(tmp_path, capsys, graph, query, where):
+    (tmp_path / "g.tg").write_text(graph, encoding="utf-8")
+    code, out, err = run(
+        capsys, "eval", "--graph", tmp_path / "g.tg", "--query", query, "--repr", "c"
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+    assert where in err
+
+
+@pytest.mark.parametrize("which", ["graph", "query"])
+def test_non_utf8_input_exits_1(workdir, capsys, which):
+    bad = workdir / "latin1.txt"
+    texts = {"graph": "mode discrete\ndomain [0,5]\n# caf\xe9\na e b [0,1]\n", "query": "caf\xe9"}
+    bad.write_bytes(texts[which].encode("latin-1"))
+    files = {"graph": workdir / "running.tg", "query": workdir / "q3.trpq", which: bad}
+    code, out, err = run(
+        capsys, "eval", "--graph", files["graph"], "--query", files["query"], "--repr", "c"
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "UTF-8" in err
+
+
+@pytest.mark.parametrize(
+    "command", [("eval",), ("plot", "--pair", "ICDT", "ISWC")], ids=["eval", "plot"]
+)
+@pytest.mark.parametrize(
+    "flags",
+    [("td",), ("c", "--minimize", "greedy"), ("t", "--coalesce"), ("point",)],
+    ids=["td", "c-minimize-greedy", "t-coalesce", "point"],
+)
+def test_disjoint_requires_minimize_exact(workdir, capsys, command, flags):
+    code, out, err = run(
+        capsys, *command, "--graph", workdir / "running.tg",
+        "--query", workdir / "q3.trpq", "--repr", *flags, "--disjoint",
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "--disjoint" in err

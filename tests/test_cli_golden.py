@@ -79,7 +79,7 @@ def case_id(graph, query_name, flags) -> str:
 
 def cli_case_id(command, graph, query_name, flags) -> str:
     """For example ``plot-running-q3-pair-ICDT-ISWC-repr-c``."""
-    return "-".join((command, graph.removesuffix(".tg"), query_name, *(f.lstrip("-") for f in flags)))
+    return "-".join((command, case_id(graph, query_name, flags)))
 
 
 def run_eval(directory: Path, graph, query_name, flags):

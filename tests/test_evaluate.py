@@ -17,7 +17,6 @@ from trpq import evaluate as ev
 from trpq import intervals as iv
 from trpq.compact import coalesce_d, coalesce_t, minimize_exact
 from trpq.errors import DenseInfeasibleError, FixpointLimitError, InvalidTupleError
-from trpq.evaluate import EvalOptions
 from trpq.graph import TemporalGraph, scale_graph
 from trpq.query import scale_query
 from trpq.tuples import CTuple, DTuple, TDTuple, TTuple, ctuple_valid, delta_at, unfold
@@ -435,7 +434,7 @@ def test_eval_c_deterministic(running, q3):
 def test_fixpoint_cap_exceeded(closure_graph):
     q = parse_query("e/(T[2,2])[1,_]")
     with pytest.raises(FixpointLimitError):
-        eval_t(closure_graph, q, EvalOptions(max_iterations=2))
+        eval_t(closure_graph, q, max_iterations=2)
 
 
 def _dense_chain_check(v1, delta, v2, domain, query_text):
