@@ -39,16 +39,16 @@ def parse_number(text: str) -> Number:
     interpreter converts to an integer (4,300 by default) raises TrpqError.
     """
     text = text.strip()
-    shown = text if len(text) <= 40 else f"{text[:20]}...{text[-10:]} ({len(text)} characters)"
     try:
         if "/" in text or "." in text:
             value = Fraction(text)
             return int(value) if value.denominator == 1 else value
         return int(text)
-    except ZeroDivisionError:
-        raise TrpqError(f"number {shown} has a zero denominator") from None
-    except ValueError:
-        raise TrpqError(f"cannot read number {shown}: malformed or too many digits") from None
+    except (ZeroDivisionError, ValueError) as exc:
+        shown = text if len(text) <= 40 else f"{text[:20]}...{text[-10:]} ({len(text)} characters)"
+        if isinstance(exc, ZeroDivisionError):
+            raise TrpqError(f"number {shown} has a zero denominator") from None
+        raise TrpqError(f"cannot read number {shown}: malformed, or too many digits") from None
 
 
 def format_number(x: Number) -> str:
