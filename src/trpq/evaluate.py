@@ -11,12 +11,14 @@ tuples whose unfolding is exactly the direct answer set:
 * ``eval_c``  in U^c  (both modes; the representation closed under join).
 
 All four share one recursion, ``_evaluate``: unions are set unions, joins
-bucket their right operand by source node, and unbounded repetition iterates
-join rounds semi-naively, with a round cap against non-terminating dense
-closures.  Each supplies a rule set, ``_Rules``: ``flat(n1, n2, tau)`` builds
+bucket their right operand by source node, and repetition iterates join
+rounds semi-naively until a round adds nothing, with a round cap against
+non-terminating dense closures.  Each supplies a rule set, ``_Rules``: ``flat(n1, n2, tau)`` builds
 the zero-distance, uncropped tuple of every label, inverse, node filter,
-negation gap and repetition identity; ``nav(G, delta, nodes)`` evaluates
-temporal navigation; ``join(u1, u2)`` composes two tuples into zero or more;
+negation gap and repetition identity; ``nav(G, delta)`` evaluates temporal
+navigation once for all nodes, as a constructor and the node-independent
+fields of its tuples, which the recursion copies to every node;
+``join(u1, u2)`` composes two tuples into zero or more;
 ``reach(u1)`` bounds the times at which u1 can arrive, so that a join probes
 only the tuples of its bucket whose time interval can meet them.  U^d has no
 ``reach``: its join can fail on a pair before testing whether the pair meets,
@@ -127,7 +129,10 @@ def _evaluate(G, q, nodes, rules: _Rules, cap: int) -> set:
             return set()
         return {rules.flat(n, n, window) for n in nodes}
     if isinstance(q, q_.TimeNav):
-        return rules.nav(G, q.delta, nodes)
+        if not nodes:
+            return set()  # no node to navigate from, so no dense-time error either
+        make, shapes = rules.nav(G, q.delta)
+        return {make(n, n, *shape) for shape in shapes for n in nodes}
     if isinstance(q, q_.Test):
         return {rules.flat(u.n1, u.n1, u.tau) for u in _evaluate(G, q.inner, nodes, rules, cap)}
     if isinstance(q, q_.Not):
@@ -200,15 +205,6 @@ def _join_sets(A, buckets, rules: _Rules) -> set:
     return out
 
 
-def _per_node(make, shapes, nodes) -> set:
-    """One tuple ``make(n, n, *shape)`` per node and node-independent shape.
-
-    Temporal navigation relates every node to itself in the same way, so its
-    rules work out the shapes once instead of once per node.
-    """
-    return {make(n, n, *shape) for shape in shapes for n in nodes}
-
-
 def _reach_rect(u: TDTuple | CTuple) -> tuple[Number, Number]:
     """The closed hull of tau + delta, which holds every arrival of u."""
     return u.tau.lo + u.delta.lo, u.tau.hi + u.delta.hi
@@ -218,29 +214,24 @@ def _repeat_sets(base, m, n, identity, join_base, cap):
     """Union of the k-fold join powers of ``base`` for m <= k (<= n).
 
     ``join_base(A)`` joins A with ``base``.  k = 0 contributes the
-    node-identity relation.  The unbounded case runs semi-naive iteration:
-    only tuples new in the previous round are re-joined.
+    node-identity relation.  Semi-naive iteration: only tuples new in the
+    previous round are re-joined, and a round that adds none ends the loop,
+    because no later power can add one either.  The round cap applies to
+    unbounded repetition only.
     """
-    out = set()
-    start = m
-    if m == 0:
-        out |= identity
-        start = 1
+    out = set(identity) if m == 0 else set()
+    start = max(m, 1)
+    if n is not None and n < start:
+        return out
     current = set(base)
     for _ in range(start - 1):
         current = join_base(current)
-    if n is not None:
-        for k in range(start, n + 1):
-            if k > start:
-                current = join_base(current)
-            out |= current
-        return out
     total = set(current)
-    delta = set(current)
+    delta = current
     rounds = 0
-    while delta:
+    while delta and (n is None or start + rounds < n):
         rounds += 1
-        if rounds > cap:
+        if n is None and rounds > cap:
             raise FixpointLimitError(
                 f"unbounded repetition did not stabilise after {cap} rounds; "
                 "raise --max-iterations / TRPQ_MAX_ITER if the query is expected to converge"
@@ -282,21 +273,18 @@ def eval_t(G: TemporalGraph, q: q_.Trpq, *, max_iterations: int = MAX_ITERATIONS
     return AnswerSet("t", G.mode, _run(G, q, _T_RULES, max_iterations))
 
 
-def _nav_t(G, delta: Interval, nodes) -> set:
+def _nav_t(G, delta: Interval):
+    """One tuple (domain n (domain - d), d) per distance d in delta n (domain - domain).
+
+    Over discrete time those are integer points; over dense time delta is a
+    single point, checked up front.
+    """
     domain = G.domain
-    if not G.discrete:
-        d = delta.lo  # singleton, checked up front
-        window = iv.intersect(domain, iv.shift(domain, -d))
-        return set() if window is None else _per_node(TTuple, [(window, d)], nodes)
-    # one tuple per (n, t1, t2): singleton time interval, fixed distance
-    shapes = []
-    for t1 in iv.iter_points(domain):
-        landing = iv.intersect(iv.shift(delta, t1), domain)
-        if landing is None:
-            continue
-        departure = iv.point(t1)
-        shapes.extend((departure, t2 - t1) for t2 in iv.iter_points(landing))
-    return _per_node(TTuple, shapes, nodes)
+    spans = iv.intersect(delta, iv.mdiff(domain, domain))
+    if spans is None:
+        return TTuple, ()
+    distances = iv.iter_points(spans) if G.discrete else (spans.lo,)
+    return TTuple, [(iv.intersect(domain, iv.shift(domain, -d)), d) for d in distances]
 
 
 def _join_t(u1: TTuple, u2: TTuple) -> tuple[TTuple, ...]:
@@ -351,15 +339,13 @@ def _expand_times(tau: Interval, discrete: bool):
     )
 
 
-def _nav_d(G, delta: Interval, nodes) -> set:
-    if not nodes:
-        return set()  # nothing to expand, so no dense-time error either
+def _nav_d(G, delta: Interval):
     shapes = []
     for t in _expand_times(G.domain, G.discrete):
         landing = iv.intersect(iv.shift(delta, t), G.domain)
         if landing is not None:
             shapes.append((iv.point(t), iv.shift(landing, -t)))
-    return _per_node(TDTuple, shapes, nodes)
+    return TDTuple, shapes
 
 
 def _join_d(discrete: bool, u1: TDTuple, u2: TDTuple) -> list[TDTuple]:
@@ -455,12 +441,9 @@ def eval_td(G: TemporalGraph, q: q_.Trpq, *, max_iterations: int = MAX_ITERATION
 # reaches every join the evaluators make.
 
 
-def _nav_td(G, delta: Interval, nodes) -> set:
-    if not nodes:
-        return set()
-    n = nodes[0]
-    joined = join_td(TDTuple(n, n, G.domain, delta), _flat_td(n, n, G.domain))
-    return _per_node(TDTuple, [(u.tau, u.delta) for u in joined], nodes)
+def _nav_td(G, delta: Interval):
+    joined = join_td(TDTuple("", "", G.domain, delta), _flat_td("", "", G.domain))
+    return TDTuple, [(u.tau, u.delta) for u in joined]
 
 
 def _join_td(u1: TDTuple, u2: TDTuple) -> tuple[TDTuple, ...]:
@@ -553,12 +536,9 @@ def _join_c(u1: CTuple, u2: CTuple) -> tuple[CTuple, ...]:
     return () if joined is None else (joined,)
 
 
-def _nav_c(G, delta: Interval, nodes) -> set:
-    if not nodes:
-        return set()
-    n = nodes[0]
-    joined = _join_c(_uncropped(n, n, G.domain, delta), _uncropped(n, n, G.domain))
-    return _per_node(CTuple, [(u.tau, u.delta, u.b, u.e) for u in joined], nodes)
+def _nav_c(G, delta: Interval):
+    joined = _join_c(_uncropped("", "", G.domain, delta), _uncropped("", "", G.domain))
+    return CTuple, [(u.tau, u.delta, u.b, u.e) for u in joined]
 
 
 _C_RULES = _Rules(_uncropped, _nav_c, _join_c, _reach_rect)
