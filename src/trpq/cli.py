@@ -21,10 +21,10 @@ from pathlib import Path
 
 from . import compact
 from .errors import DenseInfeasibleError, TrpqError
-from .evaluate import EVALUATORS, MAX_ITERATIONS, AnswerSet
+from .evaluate import EVALUATORS, AnswerSet
 from .graph import TemporalGraph, load_graph, scale_graph
 from .oracle import eval_direct
-from .query import parse_query, scale_query
+from .query import MAX_ITERATIONS, parse_query, scale_query
 from .tuples import as_td, cells, render_tuple
 
 EXIT_OK = 0
@@ -77,11 +77,7 @@ def _max_iterations(args) -> int:
 
 
 def _coalesce(answers: AnswerSet) -> AnswerSet:
-    if answers.kind == "t":
-        return compact.coalesce_t(answers)
-    if answers.kind == "d":
-        return compact.coalesce_d(answers)
-    raise _UsageError("--coalesce applies to --repr t or d")
+    return compact.coalesce_t(answers) if answers.kind == "t" else compact.coalesce_d(answers)
 
 
 def _reduce(answers: AnswerSet) -> AnswerSet:
@@ -92,16 +88,18 @@ def _evaluate(G, q, args) -> AnswerSet:
     cap = _max_iterations(args)
     if args.disjoint and args.minimize != "exact":
         raise _UsageError("--disjoint applies only with --minimize exact")
+    if args.repr == "point" and (args.coalesce or args.minimize):
+        raise _UsageError("--coalesce and --minimize do not apply to --repr point")
+    if args.coalesce and args.repr not in ("t", "d"):
+        raise _UsageError("--coalesce applies to --repr t or d")
+    if args.minimize == "greedy" and args.repr not in ("td", "c"):
+        raise _UsageError("--minimize greedy applies to --repr td or c")
     if args.repr == "point":
-        if args.coalesce or args.minimize:
-            raise _UsageError("--coalesce and --minimize do not apply to --repr point")
         return AnswerSet("point", G.mode, eval_direct(G, q, max_iterations=cap))
     answers = EVALUATORS[args.repr](G, q, max_iterations=cap)
     if args.coalesce:
         answers = _coalesce(answers)
     if args.minimize:
-        if args.repr in ("t", "d") and args.minimize == "greedy":
-            raise _UsageError("--minimize greedy applies to --repr td or c")
         if args.minimize == "exact":
             answers = compact.minimize_exact(
                 answers, "disjoint" if args.disjoint else "overlapping"

@@ -13,19 +13,19 @@ tuples whose unfolding is exactly the direct answer set:
 All four share one recursion, ``_evaluate``: unions are set unions, joins
 bucket their right operand by source node, and repetition iterates join
 rounds semi-naively until a round adds nothing, with a round cap against
-non-terminating dense closures.  Each supplies a rule set, ``_Rules``: ``flat(n1, n2, tau)`` builds
-the zero-distance, uncropped tuple of every label, inverse, node filter,
-negation gap and repetition identity; ``nav(G, delta)`` evaluates temporal
-navigation once for all nodes, as a constructor and the node-independent
-fields of its tuples, which the recursion copies to every node;
-``join(u1, u2)`` composes two tuples into zero or more;
-``reach(u1)`` bounds the times at which u1 can arrive, so that a join probes
-only the tuples of its bucket whose time interval can meet them.  U^d has no
-``reach``: its join can fail on a pair before testing whether the pair meets,
-so it probes every pair, walking the left operands in canonical order so that
-such an error always cites the same interval.  U^d alone adds ``nav_join``,
-a join with a trailing navigation fused into a unary rule so that navigation
-is never materialised on its own.
+non-terminating dense closures.  Each supplies a rule set, ``_Rules``:
+``flat(n1, n2, tau)`` builds the zero-distance, uncropped tuple of every
+label, inverse, node filter, negation gap and repetition identity;
+``nav(G, delta)`` evaluates temporal navigation once for all nodes, as a
+tuple constructor and the node-independent fields of its tuples, which the
+recursion copies to every node; ``join(u1, u2)`` composes two tuples into
+zero or more; ``reach(u1)`` bounds the times at which u1 can arrive, so that
+a join probes only the tuples of its bucket whose time interval can meet
+them.  U^d has no ``reach``: its join can fail on a pair before testing
+whether the pair meets, so it probes every pair, walking the left operands
+in canonical order so that such an error always cites the same interval.
+U^d alone adds ``nav_join``, a join with a trailing navigation fused into a
+unary rule so that navigation is never materialised on its own.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from . import query as q_
 from .errors import DenseInfeasibleError, FixpointLimitError, InvalidTupleError
 from .graph import TemporalGraph, graph_nodes
 from .intervals import Interval, Number
+from .query import MAX_ITERATIONS
 from .tuples import (
     CTuple,
     DTuple,
@@ -51,7 +52,6 @@ from .tuples import (
 )
 
 KINDS = ("point", "t", "d", "td", "c")
-MAX_ITERATIONS = 10_000  # default cap on the rounds of unbounded-repetition closure
 
 _ZERO = iv.point(0)
 _flat_td = partial(TDTuple, delta=_ZERO)  # also the shape of a U^d group

@@ -21,7 +21,7 @@ Triple = tuple[str, str, str]
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _INTERVAL_TOKEN_RE = re.compile(
-    r"[\[(]\s*-?\d+(?:/\d+|\.\d+)?\s*,\s*-?\d+(?:/\d+|\.\d+)?\s*[\])]"
+    rf"[\[(]\s*-?{iv.NUMBER_PATTERN}\s*,\s*-?{iv.NUMBER_PATTERN}\s*[\])]"
 )
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -27,8 +28,10 @@ from .errors import EmptyIntervalError, IntervalDomainError, ModeError, TrpqErro
 
 Number = int | Fraction
 
+# an unsigned number literal as parse_number reads it: integer, p/q or decimal
+NUMBER_PATTERN = r"\d+(?:/\d+|\.\d+)?"
 _INTERVAL_RE = re.compile(
-    r"\s*([\[(])\s*(-?\d+(?:/\d+|\.\d+)?)\s*,\s*(-?\d+(?:/\d+|\.\d+)?)\s*([\])])\s*"
+    rf"\s*([\[(])\s*(-?{NUMBER_PATTERN})\s*,\s*(-?{NUMBER_PATTERN})\s*([\])])\s*"
 )
 
 
@@ -52,11 +55,20 @@ def parse_number(text: str) -> Number:
 
 
 def format_number(x: Number) -> str:
-    if isinstance(x, Fraction):
-        if x.denominator == 1:
-            return str(x.numerator)
-        return f"{x.numerator}/{x.denominator}"
-    return str(x)
+    """The exact text of a number: an integer, or ``p/q``.
+
+    A number with more digits than the interpreter converts to text (4,300 by
+    default) raises TrpqError; the limit is not raised.
+    """
+    try:
+        if isinstance(x, Fraction):
+            if x.denominator == 1:
+                return str(x.numerator)
+            return f"{x.numerator}/{x.denominator}"
+        return str(x)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise TrpqError(f"cannot print a number of more than {limit:,} digits") from None
 
 
 def is_integral(x: Number) -> bool:

@@ -15,6 +15,7 @@ from . import query as q_
 from .errors import DenseInfeasibleError, FixpointLimitError
 from .graph import TemporalGraph, graph_nodes
 from .intervals import Number
+from .query import MAX_ITERATIONS
 
 
 class PointTuple(NamedTuple):
@@ -26,10 +27,8 @@ class PointTuple(NamedTuple):
 
 PointSet = frozenset[PointTuple]
 
-_DEFAULT_CAP = 10_000
 
-
-def eval_direct(G: TemporalGraph, q: q_.Trpq, *, max_iterations: int = _DEFAULT_CAP) -> PointSet:
+def eval_direct(G: TemporalGraph, q: q_.Trpq, *, max_iterations: int = MAX_ITERATIONS) -> PointSet:
     """All answers to ``q`` over ``G`` as explicit (n1, n2, t, d) tuples."""
     if not G.discrete:
         raise DenseInfeasibleError(
@@ -132,6 +131,8 @@ def _eval(G, q, nodes, domain_points, cap) -> set[PointTuple]:
         for _ in range(start - 1):
             current = _compose(current, base)
         for k in range(start, q.n + 1):
+            if current <= out:
+                break  # this power adds nothing new, so no later one can
             out |= current
             if k < q.n:
                 current = _compose(current, base)

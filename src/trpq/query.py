@@ -32,6 +32,8 @@ from . import intervals as iv
 from .errors import EmptyIntervalError, QueryParseError, TrpqError
 from .intervals import Interval, Number
 
+MAX_ITERATIONS = 10_000  # default cap on the rounds of unbounded repetition q[m,_]
+
 
 @dataclass(frozen=True, slots=True)
 class Label:
@@ -145,9 +147,9 @@ def power(q: Trpq, k: int) -> Trpq:
 # --- lexer -----------------------------------------------------------------
 
 _TOKEN_RE = re.compile(
-    r"""
+    rf"""
     (?P<ws>\s+)
-  | (?P<number>\d+(?:/\d+|\.\d+)?)
+  | (?P<number>{iv.NUMBER_PATTERN})
   | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<inv>\^-)
   | (?P<neq>!=)

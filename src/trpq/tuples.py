@@ -100,12 +100,19 @@ class CTuple:
         return lo == hi and self.delta.left_closed and self.delta.right_closed
 
 
+def _lower_bound_at(c: CTuple, t: Number) -> Number:
+    return c.delta.lo + max(0, c.b - t)
+
+
+def _upper_bound_at(c: CTuple, t: Number) -> Number:
+    return c.delta.hi - max(0, t - c.e)
+
+
 def delta_at(c: CTuple, t: Number) -> Optional[Interval]:
     """The slice of admissible distances at time ``t``; None when empty."""
     if not iv.contains(c.tau, t):
         raise ValueError(f"time point {iv.format_number(t)} lies outside {c.tau}")
-    lo = c.delta.lo + max(0, c.b - t)
-    hi = c.delta.hi - max(0, t - c.e)
+    lo, hi = _lower_bound_at(c, t), _upper_bound_at(c, t)
     if lo > hi or (lo == hi and not (c.delta.left_closed and c.delta.right_closed)):
         return None
     return Interval(lo, hi, c.delta.left_closed, c.delta.right_closed)
@@ -215,14 +222,6 @@ def td_covers(u: TDTuple, v: TDTuple) -> bool:
 def _pieces(lo: Number, hi: Number, breaks: Iterable[Number]):
     cuts = sorted({lo, hi, *(x for x in breaks if lo < x < hi)})
     return list(zip(cuts, cuts[1:])) if len(cuts) > 1 else [(lo, hi)]
-
-
-def _lower_bound_at(c: CTuple, t: Number) -> Number:
-    return c.delta.lo + max(0, c.b - t)
-
-
-def _upper_bound_at(c: CTuple, t: Number) -> Number:
-    return c.delta.hi - max(0, t - c.e)
 
 
 def _dominates(diff_fn, tau: Interval, breaks, tie_ok: bool) -> bool:

@@ -425,3 +425,30 @@ def test_disjoint_requires_minimize_exact(workdir, capsys, command, flags):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and "--disjoint" in err
+
+
+def test_number_too_long_to_print_exits_1(workdir, capsys):
+    # the factor itself is readable; the intervals it scales are too long to print
+    code, out, err = run(
+        capsys, "stats", "--graph", workdir / "running.tg", "--query", "attends",
+        "--scale", "graph", "--factors", "9" * 4299,
+    )
+    assert code == 1
+    assert err.startswith("error: ") and "digits" in err
+
+
+@pytest.mark.parametrize(
+    "flags, named",
+    [(("td", "--coalesce"), "--coalesce"), (("t", "--minimize", "greedy"), "--minimize greedy")],
+    ids=["td-coalesce", "t-minimize-greedy"],
+)
+def test_flag_combinations_are_checked_before_evaluating(workdir, capsys, flags, named):
+    # one round is too few for this closure: evaluating would end in the cap error
+    (workdir / "closure.tg").write_text(data_text("closure.tg"), encoding="utf-8")
+    code, out, err = run(
+        capsys, "eval", "--graph", workdir / "closure.tg", "--query", "e/(T[2,2])[1,_]",
+        "--max-iterations", "1", "--repr", *flags,
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and named in err

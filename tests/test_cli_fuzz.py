@@ -11,7 +11,10 @@ write ``error: ...`` when it does not return 0, and let no exception escape.
 The domains stay small (bounds of at most a few units) and ``--max-iterations``
 stays at most 50, because nothing yet bounds the size of an answer: a wide
 discrete domain under ``eval_t``, ``--repr point`` or ``--minimize exact``
-would make single examples run for minutes rather than fail.
+would make single examples run for minutes rather than fail.  Navigation and
+repetition bounds may still be huge (``T[-1000000,1000000]``,
+``q[m,1000000]``): navigation is clipped to the domain, and bounded
+repetition stops at the first round that adds nothing.
 """
 
 import contextlib
@@ -33,6 +36,7 @@ LABELS = ("e", "f")
 NUMBERS = ("0", "1", "2", "3", "4", "1/2", "3/2", "0.5")
 BAD_NUMBERS = ("1/0", "-1", "7", LONG)
 BAD_BYTES = (b"\xff", b"\xc3\x28", b"\x80abc", b"\xe9")
+HUGE = "1000000"  # a navigation or repetition bound far beyond any domain here
 
 
 def spell(text: str) -> str:
@@ -83,8 +87,10 @@ def queries(messy: bool):
         st.sampled_from(NODES).map("(!={})".format),
         pick(messy, NUMBERS, BAD_NUMBERS).map("(<={})".format),
         intervals(messy).map("T{}".format),
+        st.just(f"T[-{HUGE},{HUGE}]"),
     )
     nats = pick(messy, ("0", "1", "2"), (LONG,))
+    uppers = st.one_of(nats, st.sampled_from(("_", HUGE)))
 
     def extend(inner):
         return st.one_of(
@@ -92,7 +98,7 @@ def queries(messy: bool):
             st.tuples(inner, inner).map(" + ".join),
             inner.map("?({})".format),
             inner.map("!(?({}))".format),
-            st.tuples(inner, nats, st.one_of(nats, st.just("_"))).map(
+            st.tuples(inner, nats, uppers).map(
                 lambda r: "({})[{},{}]".format(*r)
             ),
         )

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from trpq import (
+    PointTuple,
     eval_c,
     eval_d,
     eval_direct,
@@ -15,9 +16,10 @@ from trpq import (
 )
 from trpq import evaluate as ev
 from trpq import intervals as iv
+from trpq import query as q_
 from trpq.compact import coalesce_d, coalesce_t, minimize_exact
 from trpq.errors import DenseInfeasibleError, FixpointLimitError, InvalidTupleError
-from trpq.graph import TemporalGraph, scale_graph
+from trpq.graph import TemporalGraph, graph_nodes, scale_graph
 from trpq.query import scale_query
 from trpq.tuples import CTuple, DTuple, TDTuple, TTuple, ctuple_valid, delta_at, unfold
 
@@ -610,3 +612,111 @@ def test_oracle_equivalence_sampled(kind, evaluator):
         assert unfold(evaluator(G, q), kind) == eval_direct(G, q), (
             f"seed {seed}: {kind} diverges"
         )
+
+
+# --- repetition and navigation rules -------------------------------------------
+
+EVALUATORS = [("t", eval_t), ("d", eval_d), ("td", eval_td), ("c", eval_c)]
+
+# a -e-> b -e-> c -e-> d at every time: the powers of e have 3, 2, 1 and 0 tuples
+CHAIN = graph("discrete", C(0, 3), *[(s, "e", o, [C(0, 3)]) for s, o in ("ab", "bc", "cd")])
+
+
+def _identity_points(G):
+    return frozenset(
+        PointTuple(n, n, t, 0) for n in graph_nodes(G) for t in iv.iter_points(G.domain)
+    )
+
+
+def _count_join_rounds(monkeypatch):
+    calls = []
+    join_sets = ev._join_sets
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return join_sets(*args, **kwargs)
+
+    monkeypatch.setattr(ev, "_join_sets", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "kind, evaluator", EVALUATORS + [("point", eval_direct)], ids=["t", "d", "td", "c", "oracle"]
+)
+def test_repeat_zero_zero_is_the_identity(running, kind, evaluator):
+    instances = [running, CHAIN] + [random_instance(seed)[0] for seed in range(20)]
+    for G in instances:
+        for inner in ("e", "attends/T[0,2]", "absent"):
+            got = evaluator(G, parse_query(f"({inner})[0,0]"))
+            assert (got if kind == "point" else unfold(got, kind)) == _identity_points(G)
+
+
+@pytest.mark.parametrize("query, rounds", [
+    ("e[0,1000000]", 3),  # P2, P3, then an empty P4 ends the loop
+    ("e[1,1000000]", 3),
+    ("e[2,1000000]", 3),  # one join to reach P2 first
+    ("e[1,_]", 3),
+    ("e[0,2]", 1),  # n - start rounds when the answer is still growing
+    ("e[1,3]", 2),
+    ("e[2,2]", 1),
+    ("e[0,0]", 0),
+    ("absent[0,1000000]", 0),  # an empty base adds nothing in the first round
+    ("absent[1,1000000]", 0),
+    ("absent[2,1000000]", 1),
+])
+@pytest.mark.parametrize("kind, evaluator", EVALUATORS, ids=["t", "d", "td", "c"])
+def test_bounded_repeat_stops_when_a_round_adds_nothing(monkeypatch, kind, evaluator, query,
+                                                        rounds):
+    calls = _count_join_rounds(monkeypatch)
+    got = evaluator(CHAIN, parse_query(query))
+    assert len(calls) == rounds
+    assert unfold(got, kind) == eval_direct(CHAIN, parse_query(query))
+
+
+@pytest.mark.parametrize("kind, evaluator", EVALUATORS, ids=["t", "d", "td", "c"])
+def test_bounded_repeat_far_beyond_the_fixpoint_matches_the_oracle(kind, evaluator):
+    for seed in range(40):
+        G, q = random_instance(seed)
+        for m in (0, 1, 2):
+            for n in (m, m + 1, 10**6):
+                r = q_.Repeat(q, m, n)
+                assert unfold(evaluator(G, r), kind) == eval_direct(G, r), (seed, m, n)
+
+
+def test_long_bounded_repeat_makes_one_join_round(monkeypatch, running):
+    short = eval_c(running, parse_query("attends[0,1]"))
+    calls = _count_join_rounds(monkeypatch)
+    out = eval_c(running, parse_query("attends[0,200000]"))
+    assert len(calls) == 1  # attends/attends is empty
+    assert out == short and len(out) == 8
+
+
+@pytest.mark.parametrize("delta", ["T[1,3]", "T[-2,0]", "T[0,50]", "T[-15,-12]", "T[13,20]"])
+def test_eval_t_navigation_is_one_tuple_per_node_and_distance(running, delta):
+    q = parse_query(delta)
+    out = eval_t(running, q)
+    domain = running.domain  # [100,112]: distances up to 12 either way
+    distances = [d for d in iv.iter_points(q.delta) if -12 <= d <= 12]
+    assert sorted((u.n1, u.d) for u in out) == sorted(
+        (n, d) for n in graph_nodes(running) for d in distances
+    )
+    for u in out:
+        assert u.n1 == u.n2
+        assert u.tau == iv.intersect(domain, iv.shift(domain, -u.d))
+    assert unfold(out, "t") == eval_direct(running, q)
+
+
+def test_eval_t_dense_navigation_spans_a_half_open_domain():
+    g = graph("dense", iv.Interval(0, 4, True, False), ("a", "e", "b", [C(0, 1)]))
+    assert set(eval_t(g, parse_query("T[3,3]"))) == {
+        TTuple(n, n, iv.Interval(0, 1, True, False), 3) for n in ("a", "b")
+    }
+    assert len(eval_t(g, parse_query("T[4,4]"))) == 0  # 0 + 4 lies outside [0,4)
+
+
+@pytest.mark.parametrize("kind, evaluator", EVALUATORS, ids=["t", "d", "td", "c"])
+def test_domain_wide_navigation_equals_navigation_across_the_domain(running, kind, evaluator):
+    w = running.domain.hi - running.domain.lo
+    for text in ("T[{},{}]", "attends/T[{},{}]/attends^-"):
+        wide = evaluator(running, parse_query(text.format(-(10**9), 10**9)))
+        assert wide == evaluator(running, parse_query(text.format(-w, w)))

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from trpq import intervals as iv
-from trpq.errors import EmptyIntervalError, IntervalDomainError
+from trpq.errors import EmptyIntervalError, IntervalDomainError, TrpqError
 from trpq.intervals import Interval
 
 
@@ -289,3 +289,13 @@ def test_normalize_discrete():
     assert iv.normalize_discrete(Interval(Fraction(1, 2), Fraction(5, 2))) == C(1, 2)
     with pytest.raises(EmptyIntervalError):
         iv.normalize_discrete(Interval(0, 1, False, False))
+
+
+@pytest.mark.parametrize(
+    "x",
+    [10**5000, -(10**5000), Fraction(1, 10**5000), Fraction(10**5000 + 1, 2)],
+    ids=["int", "negative-int", "denominator", "numerator"],
+)
+def test_format_number_too_long_to_print_raises(x):
+    with pytest.raises(TrpqError, match="digits"):
+        iv.format_number(x)

@@ -4,6 +4,7 @@ import pytest
 
 from trpq import PointTuple, eval_direct, induced_relation, parse_query, power
 from trpq import intervals as iv
+from trpq import oracle
 from trpq.errors import DenseInfeasibleError
 from trpq.graph import TemporalGraph
 from trpq.query import Repeat
@@ -103,3 +104,22 @@ def test_time_bound_beyond_domain():
         PointTuple(n, n, t, 0) for n in ("a", "b") for t in (0, 1, 2)
     )
     assert eval_direct(g, parse_query("(<=-1)")) == frozenset()
+
+
+def test_bounded_repeat_stops_once_a_power_adds_nothing(monkeypatch, running):
+    calls = []
+    compose = oracle._compose
+
+    def counting(A, B):
+        calls.append(1)
+        return compose(A, B)
+
+    monkeypatch.setattr(oracle, "_compose", counting)
+    out = eval_direct(running, parse_query("attends[0,200000]"))
+    assert len(calls) == 1  # the second power, attends/attends, is empty
+    assert out == eval_direct(running, parse_query("attends[0,1]"))
+
+
+def test_zero_zero_repeat_is_the_identity(running):
+    out = eval_direct(running, parse_query("attends[0,0]"))
+    assert out == eval_direct(running, parse_query("T[0,0]"))
