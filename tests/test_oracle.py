@@ -118,8 +118,3 @@ def test_bounded_repeat_stops_once_a_power_adds_nothing(monkeypatch, running):
     out = eval_direct(running, parse_query("attends[0,200000]"))
     assert len(calls) == 1  # the second power, attends/attends, is empty
     assert out == eval_direct(running, parse_query("attends[0,1]"))
-
-
-def test_zero_zero_repeat_is_the_identity(running):
-    out = eval_direct(running, parse_query("attends[0,0]"))
-    assert out == eval_direct(running, parse_query("T[0,0]"))
