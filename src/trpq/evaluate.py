@@ -26,6 +26,14 @@ whether the pair meets, so it probes every pair, walking the left operands
 in canonical order so that such an error always cites the same interval.
 U^d alone adds ``nav_join``, a join with a trailing navigation fused into a
 unary rule so that navigation is never materialised on its own.
+
+Two kinds of work are shared, each for no longer than it is needed.  Within
+one evaluation every distinct leaf subquery (label, node predicate, time
+bound, navigation) is built once, from the graph's label index: ``e/e/e``
+builds ``e`` once.  Within one join, the time fields of a result depend only
+on the two operands' time fields, never on their nodes, so each distinct pair
+of time shapes is joined once and copied to the other node pairs that share
+it; every join actually made still checks its operands and its result.
 """
 
 from __future__ import annotations
@@ -106,20 +114,63 @@ class _Rules(NamedTuple):
 # --------------------------------------------------------------------------
 
 
-def _run(G: TemporalGraph, q: q_.Trpq, rules: _Rules, cap: int) -> set:
-    return _evaluate(G, q, sorted(graph_nodes(G)), rules, cap)
+_LEAVES = (q_.Label, q_.Pred, q_.LeqTime, q_.TimeNav)
 
 
-def _evaluate(G, q, nodes, rules: _Rules, cap: int) -> set:
-    domain = G.domain
+def _evaluate(G, q, rules: _Rules, cap: int, leaves: dict) -> set:
+    """The answer set of q under one representation's rules.
+
+    ``leaves`` memoises leaf subqueries by value for one evaluation: each
+    evaluator passes a new dict, so ``e/e/e`` builds ``e`` once and nothing
+    outlives the call.  Leaves alone are keyed, because their hash is shallow,
+    and they are built in a helper that does not recurse, so the recursion
+    keeps one frame per AST level.  The sets handed out are shared: no caller
+    may change them.
+    """
+    if isinstance(q, _LEAVES):
+        out = leaves.get(q)
+        if out is None:
+            out = leaves[q] = _leaf(G, q, rules)
+        return out
+    if isinstance(q, q_.Inverse):
+        return {rules.flat(u.n2, u.n1, u.tau) for u in _evaluate(G, q.edge, rules, cap, leaves)}
+    if isinstance(q, q_.Test):
+        return {rules.flat(u.n1, u.n1, u.tau) for u in _evaluate(G, q.inner, rules, cap, leaves)}
+    if isinstance(q, q_.Not):
+        taus: dict[str, list] = {}
+        for u in _evaluate(G, q.inner, rules, cap, leaves):
+            taus.setdefault(u.n1, []).append(u.tau)
+        # the complement, within the domain, of each node's node-form time intervals
+        return {
+            rules.flat(n, n, gap)
+            for n in G.nodes
+            for gap in iv.complement(taus.get(n, ()), G.domain, discrete=G.discrete)
+        }
+    if isinstance(q, q_.Join):
+        lhs = _evaluate(G, q.lhs, rules, cap, leaves)
+        if rules.nav_join is not None and isinstance(q.rhs, q_.TimeNav):
+            return rules.nav_join(lhs, q.rhs.delta, G)
+        rhs = _evaluate(G, q.rhs, rules, cap, leaves)
+        return _join_sets(lhs, _buckets(rhs), rules)
+    if isinstance(q, q_.Union):
+        return _evaluate(G, q.lhs, rules, cap, leaves) | _evaluate(G, q.rhs, rules, cap, leaves)
+    if isinstance(q, q_.Repeat):
+        base = _evaluate(G, q.inner, rules, cap, leaves)
+        identity = {rules.flat(n, n, G.domain) for n in G.nodes}
+        join_base = partial(_join_sets, buckets=_buckets(base), rules=rules)
+        return _repeat_sets(base, q.m, q.n, identity, join_base, cap)
+    raise TypeError(f"not a query node: {q!r}")
+
+
+def _leaf(G, q, rules: _Rules) -> set:
+    """The answer set of a leaf subquery; not recursive."""
+    nodes, domain = G.nodes, G.domain
     if isinstance(q, q_.Label):
         return {
             rules.flat(s, o, tau)
             for s, o, validity in G.triples_with_label(q.name)
             for tau in validity
         }
-    if isinstance(q, q_.Inverse):
-        return {rules.flat(u.n2, u.n1, u.tau) for u in _evaluate(G, q.edge, nodes, rules, cap)}
     if isinstance(q, q_.Pred):
         matching = [q.target] if q.equals else [n for n in nodes if n != q.target]
         return {rules.flat(n, n, domain) for n in matching}
@@ -128,37 +179,11 @@ def _evaluate(G, q, nodes, rules: _Rules, cap: int) -> set:
         if window is None:
             return set()
         return {rules.flat(n, n, window) for n in nodes}
-    if isinstance(q, q_.TimeNav):
-        if not nodes:
-            return set()  # no node to navigate from, so no dense-time error either
-        make, shapes = rules.nav(G, q.delta)
-        return {make(n, n, *shape) for shape in shapes for n in nodes}
-    if isinstance(q, q_.Test):
-        return {rules.flat(u.n1, u.n1, u.tau) for u in _evaluate(G, q.inner, nodes, rules, cap)}
-    if isinstance(q, q_.Not):
-        taus: dict[str, list] = {}
-        for u in _evaluate(G, q.inner, nodes, rules, cap):
-            taus.setdefault(u.n1, []).append(u.tau)
-        # the complement, within the domain, of each node's node-form time intervals
-        return {
-            rules.flat(n, n, gap)
-            for n in nodes
-            for gap in iv.complement(taus.get(n, ()), domain, discrete=G.discrete)
-        }
-    if isinstance(q, q_.Join):
-        lhs = _evaluate(G, q.lhs, nodes, rules, cap)
-        if rules.nav_join is not None and isinstance(q.rhs, q_.TimeNav):
-            return rules.nav_join(lhs, q.rhs.delta, G, nodes)
-        rhs = _evaluate(G, q.rhs, nodes, rules, cap)
-        return _join_sets(lhs, _buckets(rhs), rules)
-    if isinstance(q, q_.Union):
-        return _evaluate(G, q.lhs, nodes, rules, cap) | _evaluate(G, q.rhs, nodes, rules, cap)
-    if isinstance(q, q_.Repeat):
-        base = _evaluate(G, q.inner, nodes, rules, cap)
-        identity = {rules.flat(n, n, domain) for n in nodes}
-        join_base = partial(_join_sets, buckets=_buckets(base), rules=rules)
-        return _repeat_sets(base, q.m, q.n, identity, join_base, cap)
-    raise TypeError(f"not a query node: {q!r}")
+    # temporal navigation
+    if not nodes:
+        return set()  # no node to navigate from, so no dense-time error either
+    make, shapes = rules.nav(G, q.delta)
+    return {make(n, n, *shape) for shape in shapes for n in nodes}
 
 
 def _buckets(B) -> dict:
@@ -185,8 +210,14 @@ def _join_sets(A, buckets, rules: _Rules) -> set:
     its bucket whose tau meets that hull: those with lo(tau) <= hi, which
     start no earlier than lo minus the bucket's widest tau, and with
     hi(tau) >= lo.  The rest would produce nothing, so they are not probed.
+
+    The time fields of a join depend only on the operands' time fields (all
+    but the two nodes), never on their nodes.  So each distinct pair of time
+    shapes is joined once per call, and a later pair with the same shapes
+    takes those results with its own nodes, (n1 of u1, n2 of u2).
     """
     join, reach = rules.join, rules.reach
+    joined: dict = {}  # (time shape of u1, time shape of u2) -> join results
     out = set()
     for u1 in A if reach is not None else sorted(A, key=tuple_sort_key):
         bucket = buckets.get(u1.n2)
@@ -194,14 +225,20 @@ def _join_sets(A, buckets, rules: _Rules) -> set:
             continue
         los, group, width = bucket
         if reach is None:
-            for u2 in group:
-                out.update(join(u1, u2))
-            continue
-        lo, hi = reach(u1)
-        for k in range(bisect_left(los, lo - width), bisect_right(los, hi)):
-            u2 = group[k]
-            if u2.tau.hi >= lo:
-                out.update(join(u1, u2))
+            probed = group
+        else:
+            lo, hi = reach(u1)
+            window = group[bisect_left(los, lo - width) : bisect_right(los, hi)]
+            probed = [u2 for u2 in window if u2.tau.hi >= lo]
+        shape = u1[2:]
+        for u2 in probed:
+            key = (shape, u2[2:])
+            results = joined.get(key)
+            if results is None:
+                results = joined[key] = join(u1, u2)
+                out.update(results)
+            else:
+                out.update(type(u)(u1.n1, u2.n2, *u[2:]) for u in results)
     return out
 
 
@@ -270,7 +307,7 @@ def eval_t(G: TemporalGraph, q: q_.Trpq, *, max_iterations: int = MAX_ITERATIONS
     q = q_.adapt_query(q, G.discrete)
     if not G.discrete:
         _check_dense_t_feasible(q)
-    return AnswerSet("t", G.mode, _run(G, q, _T_RULES, max_iterations))
+    return AnswerSet("t", G.mode, _evaluate(G, q, _T_RULES, max_iterations, {}))
 
 
 def _nav_t(G, delta: Interval):
@@ -321,7 +358,7 @@ def eval_d(G: TemporalGraph, q: q_.Trpq, *, max_iterations: int = MAX_ITERATIONS
     rules = _Rules(
         _flat_td, _nav_d, partial(_join_d, G.discrete), nav_join=_nav_join_d
     )
-    groups = _run(G, q, rules, max_iterations)
+    groups = _evaluate(G, q, rules, max_iterations, {})
     out = []
     for g in sorted(groups, key=tuple_sort_key):
         for t in _expand_times(g.tau, G.discrete):
@@ -367,17 +404,17 @@ def _join_d(discrete: bool, u1: TDTuple, u2: TDTuple) -> list[TDTuple]:
     return out
 
 
-def _nav_join_d(groups, delta: Interval, G, nodes) -> set:
+def _nav_join_d(groups, delta: Interval, G) -> set:
     """The unary rule for a join whose right operand is temporal navigation.
 
     Distances extend by the navigation interval, and arrivals clip to the
     effective domain; when nothing would be clipped the whole group survives.
     Groups ending at a node absent from the graph have no navigation partner.
     """
-    node_set = set(nodes)
+    nodes = graph_nodes(G)
     out = set()
     for g in sorted(groups, key=tuple_sort_key):
-        if g.n2 not in node_set:
+        if g.n2 not in nodes:
             continue
         extended = iv.msum(g.delta, delta)
         if iv.covers(G.domain, iv.msum(g.tau, extended)):
@@ -433,7 +470,7 @@ def eval_td(G: TemporalGraph, q: q_.Trpq, *, max_iterations: int = MAX_ITERATION
     if not G.discrete:
         raise DenseInfeasibleError("dense time: U^td may require infinitely many rectangles")
     q = q_.adapt_query(q, True)
-    return AnswerSet("td", G.mode, _run(G, q, _TD_RULES, max_iterations))
+    return AnswerSet("td", G.mode, _evaluate(G, q, _TD_RULES, max_iterations, {}))
 
 
 # The U^td and U^c rules look join_td and join_c up by their module-level
@@ -524,7 +561,7 @@ def join_c(u1: CTuple, u2: CTuple) -> Optional[CTuple]:
 def eval_c(G: TemporalGraph, q: q_.Trpq, *, max_iterations: int = MAX_ITERATIONS) -> AnswerSet:
     """Inductive evaluation with cropped rectangles; finite over both modes."""
     q = q_.adapt_query(q, G.discrete)
-    return AnswerSet("c", G.mode, _run(G, q, _C_RULES, max_iterations))
+    return AnswerSet("c", G.mode, _evaluate(G, q, _C_RULES, max_iterations, {}))
 
 
 def _uncropped(n1: str, n2: str, tau: Interval, delta: Interval = _ZERO) -> CTuple:

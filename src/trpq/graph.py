@@ -27,9 +27,27 @@ _INTERVAL_TOKEN_RE = re.compile(
 
 @dataclass(frozen=True, eq=False)
 class TemporalGraph:
+    """A temporal graph; its facts must not change after construction.
+
+    The nodes and a label index are derived from the facts once, here, so
+    that evaluation never rescans them.
+    """
+
     mode: str
     domain: Interval
     facts: dict[Triple, tuple[Interval, ...]] = field(default_factory=dict)
+    nodes: tuple[str, ...] = field(init=False, repr=False)  # sorted
+    _node_set: frozenset[str] = field(init=False, repr=False)
+    _by_label: dict[str, tuple] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        by_label: dict[str, list] = {}
+        for (s, p, o), validity in self.facts.items():
+            by_label.setdefault(p, []).append((s, o, validity))
+        node_set = frozenset(x for s, _, o in self.facts for x in (s, o))
+        object.__setattr__(self, "nodes", tuple(sorted(node_set)))
+        object.__setattr__(self, "_node_set", node_set)
+        object.__setattr__(self, "_by_label", {p: tuple(v) for p, v in by_label.items()})
 
     @property
     def discrete(self) -> bool:
@@ -38,19 +56,14 @@ class TemporalGraph:
     def val(self, s: str, p: str, o: str) -> tuple[Interval, ...]:
         return self.facts.get((s, p, o), ())
 
-    def triples_with_label(self, label: str):
-        for (s, p, o), validity in self.facts.items():
-            if p == label:
-                yield s, o, validity
+    def triples_with_label(self, label: str) -> tuple[tuple[str, str, tuple[Interval, ...]], ...]:
+        """The (subject, object, validity) of every fact with this label, in fact order."""
+        return self._by_label.get(label, ())
 
 
 def graph_nodes(g: TemporalGraph) -> frozenset[str]:
-    """All subjects and objects appearing in the graph's facts."""
-    out = set()
-    for s, _, o in g.facts:
-        out.add(s)
-        out.add(o)
-    return frozenset(out)
+    """All subjects and objects appearing in the graph's facts, collected when it was built."""
+    return g._node_set
 
 
 def _check_identifier(token: str, line_no: int, what: str) -> str:

@@ -20,9 +20,8 @@ from __future__ import annotations
 import math
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import EmptyIntervalError, IntervalDomainError, ModeError, TrpqError
 
@@ -75,18 +74,24 @@ def is_integral(x: Number) -> bool:
     return isinstance(x, int) or x.denominator == 1
 
 
-@dataclass(frozen=True, slots=True)
-class Interval:
-    """A bounded, nonempty interval with per-side delimiters."""
-
+class _IntervalFields(NamedTuple):
+    # the fields alone: a NamedTuple may not override __new__, its subclass may
     lo: Number
     hi: Number
-    left_closed: bool = True
-    right_closed: bool = True
+    left_closed: bool
+    right_closed: bool
 
-    def __post_init__(self):
-        if self.lo > self.hi or (self.lo == self.hi and not (self.left_closed and self.right_closed)):
-            raise EmptyIntervalError(f"empty interval {_render(self)}")
+
+class Interval(_IntervalFields):
+    """A bounded, nonempty interval with per-side delimiters."""
+
+    __slots__ = ()
+
+    def __new__(cls, lo: Number, hi: Number, left_closed: bool = True, right_closed: bool = True):
+        if lo > hi or (lo == hi and not (left_closed and right_closed)):
+            fields = (lo, hi, left_closed, right_closed)
+            raise EmptyIntervalError(f"empty interval {_render(fields)}")
+        return tuple.__new__(cls, (lo, hi, left_closed, right_closed))
 
     def __repr__(self):
         if self.left_closed and self.right_closed:
@@ -108,10 +113,12 @@ class Interval:
         return parse_interval(text)
 
 
-def _render(iv: Interval) -> str:
-    left = "[" if iv.left_closed else "("
-    right = "]" if iv.right_closed else ")"
-    return f"{left}{format_number(iv.lo)},{format_number(iv.hi)}{right}"
+def _render(iv: tuple) -> str:
+    """The text of an Interval, or of the four fields it would be built from."""
+    lo, hi, left_closed, right_closed = iv
+    left = "[" if left_closed else "("
+    right = "]" if right_closed else ")"
+    return f"{left}{format_number(lo)},{format_number(hi)}{right}"
 
 
 def format_interval(iv: Interval) -> str:

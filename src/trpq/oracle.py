@@ -13,7 +13,7 @@ from typing import NamedTuple
 from . import intervals as iv
 from . import query as q_
 from .errors import DenseInfeasibleError, FixpointLimitError
-from .graph import TemporalGraph, graph_nodes
+from .graph import TemporalGraph
 from .intervals import Number
 from .query import MAX_ITERATIONS
 
@@ -35,9 +35,8 @@ def eval_direct(G: TemporalGraph, q: q_.Trpq, *, max_iterations: int = MAX_ITERA
             "dense time: direct evaluation may yield infinitely many point answers"
         )
     q = q_.adapt_query(q, discrete=True)
-    nodes = sorted(graph_nodes(G))
     domain_points = list(iv.iter_points(G.domain))
-    return frozenset(_eval(G, q, nodes, domain_points, max_iterations))
+    return frozenset(_eval(G, q, G.nodes, domain_points, max_iterations))
 
 
 def _compose(A, B) -> set[PointTuple]:

@@ -21,8 +21,7 @@ containment of tau in the analytically derived admissible-time interval
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from . import intervals as iv
 from .errors import DenseInfeasibleError
@@ -30,32 +29,29 @@ from .intervals import Interval, Number
 from .oracle import PointTuple
 
 
-@dataclass(frozen=True, slots=True)
-class TTuple:
+class TTuple(NamedTuple):
     n1: str
     n2: str
     tau: Interval
     d: Number
 
 
-@dataclass(frozen=True, slots=True)
-class DTuple:
+class DTuple(NamedTuple):
     n1: str
     n2: str
     t: Number
     delta: Interval
 
 
-@dataclass(frozen=True, slots=True)
-class TDTuple:
+class TDTuple(NamedTuple):
     n1: str
     n2: str
     tau: Interval
     delta: Interval
 
 
-@dataclass(frozen=True, slots=True)
-class CTuple:
+class _CTupleFields(NamedTuple):
+    # the fields alone: a NamedTuple may not override __new__, its subclass may
     n1: str
     n2: str
     tau: Interval
@@ -63,7 +59,11 @@ class CTuple:
     b: Number
     e: Number
 
-    def __post_init__(self):
+
+class CTuple(_CTupleFields):
+    __slots__ = ()
+
+    def __new__(cls, n1: str, n2: str, tau: Interval, delta: Interval, b: Number, e: Number):
         # Canonical form, so that structurally distinct tuples differ in their
         # slices.  A crop point outside tau either never bites (clamp it to
         # the boundary) or bites everywhere (only the crop-line intercept
@@ -71,33 +71,28 @@ class CTuple:
         # boundary and move delta's bound by the same amount).  Slices at
         # every t in tau are unchanged; without this, repeated joins can walk
         # the parameters forever while the unfolding stands still.
-        if self.b < self.tau.lo:
-            object.__setattr__(self, "b", self.tau.lo)
-        elif self.b > self.tau.hi:
-            lo = self.delta.lo + (self.b - self.tau.hi)
-            if self._representable(lo, self.delta.hi):
-                object.__setattr__(
-                    self,
-                    "delta",
-                    Interval(lo, self.delta.hi, self.delta.left_closed, self.delta.right_closed),
-                )
-                object.__setattr__(self, "b", self.tau.hi)
-        if self.e > self.tau.hi:
-            object.__setattr__(self, "e", self.tau.hi)
-        elif self.e < self.tau.lo:
-            hi = self.delta.hi - (self.tau.lo - self.e)
-            if self._representable(self.delta.lo, hi):
-                object.__setattr__(
-                    self,
-                    "delta",
-                    Interval(self.delta.lo, hi, self.delta.left_closed, self.delta.right_closed),
-                )
-                object.__setattr__(self, "e", self.tau.lo)
+        if b < tau.lo:
+            b = tau.lo
+        elif b > tau.hi:
+            lo = delta.lo + (b - tau.hi)
+            if _representable(delta, lo, delta.hi):
+                delta = Interval(lo, delta.hi, delta.left_closed, delta.right_closed)
+                b = tau.hi
+        if e > tau.hi:
+            e = tau.hi
+        elif e < tau.lo:
+            hi = delta.hi - (tau.lo - e)
+            if _representable(delta, delta.lo, hi):
+                delta = Interval(delta.lo, hi, delta.left_closed, delta.right_closed)
+                e = tau.lo
+        return tuple.__new__(cls, (n1, n2, tau, delta, b, e))
 
-    def _representable(self, lo, hi) -> bool:
-        if lo < hi:
-            return True
-        return lo == hi and self.delta.left_closed and self.delta.right_closed
+
+def _representable(delta: Interval, lo: Number, hi: Number) -> bool:
+    """Whether [lo, hi] with delta's delimiters is nonempty."""
+    if lo < hi:
+        return True
+    return lo == hi and delta.left_closed and delta.right_closed
 
 
 def _lower_bound_at(c: CTuple, t: Number) -> Number:

@@ -1,5 +1,7 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -562,25 +564,90 @@ def _random_join_tuple(rng, kind, dense):
     return CTuple(n1, n2, tau, delta, rng.choice(crops), rng.choice(crops))
 
 
-@pytest.mark.parametrize("kind, dense", [
-    ("t", False), ("t", True), ("td", False), ("c", False), ("c", True),
-], ids=["t", "t-dense", "td", "c", "c-dense"])
-def test_pruned_join_sets_match_plain_bucket_loop(kind, dense):
-    rules = {"t": ev._T_RULES, "td": ev._TD_RULES, "c": ev._C_RULES}[kind]
-    rng = random.Random(f"{kind}-{dense}")
+def _random_join_sets(rng, kind, dense):
+    sides = []
+    for _side in "AB":
+        side = []
+        size = rng.randint(5, 30)
+        while len(side) < size:
+            u = _random_join_tuple(rng, kind, dense)
+            if kind != "c" or ctuple_valid(u):
+                side.append(u)
+        sides.append(side)
+    return sides
+
+
+def _shared_shape_sets(rng, kind, dense):
+    # A and B draw from four time shapes, each under many node pairs
+    pool = []
+    while len(pool) < 4:
+        u = _random_join_tuple(rng, kind, dense)
+        if kind != "c" or ctuple_valid(u):
+            pool.append(u)
+    return [
+        [
+            type(u)(rng.choice(_SHARED_NODES), rng.choice(_SHARED_NODES), *u[2:])
+            for u in (rng.choice(pool) for _ in range(rng.randint(5, 30)))
+        ]
+        for _side in "AB"
+    ]
+
+
+_SHARED_NODES = ("a", "b", "c", "d", "e", "f")
+
+
+@pytest.mark.parametrize("kind, dense, shared", [
+    ("t", False, False), ("t", True, False), ("td", False, False), ("c", False, False),
+    ("c", True, False),
+    ("t", False, True), ("t", True, True), ("d", False, True), ("td", False, True),
+    ("c", False, True), ("c", True, True),
+], ids=[
+    "t", "t-dense", "td", "c", "c-dense",
+    "t-shared", "t-dense-shared", "d-shared", "td-shared", "c-shared", "c-dense-shared",
+])
+def test_pruned_join_sets_match_plain_bucket_loop(kind, dense, shared):
+    rules = {
+        "t": ev._T_RULES,
+        "d": ev._Rules(ev._flat_td, ev._nav_d, partial(ev._join_d, True)),
+        "td": ev._TD_RULES,
+        "c": ev._C_RULES,
+    }[kind]
+    rng = random.Random(f"{kind}-{dense}-shared" if shared else f"{kind}-{dense}")
+    make_sets = _shared_shape_sets if shared else _random_join_sets
     joined = 0
     for _ in range(150):
-        A, B = [], []
-        for side in (A, B):
-            size = rng.randint(5, 30)
-            while len(side) < size:
-                u = _random_join_tuple(rng, kind, dense)
-                if kind != "c" or ctuple_valid(u):
-                    side.append(u)
+        A, B = make_sets(rng, "td" if kind == "d" else kind, dense)  # d joins td-shaped groups
         expected = _reference_join_sets(A, B, rules.join)
         assert ev._join_sets(A, ev._buckets(B), rules) == expected
         joined += len(expected)
     assert joined > 500  # the random sets chain often enough to compare something
+
+
+def test_join_c_runs_once_per_distinct_left_time_shape(monkeypatch):
+    # 40 e-edges over 12 nodes with 4 validity intervals: many node pairs,
+    # few time shapes; all end before the domain does, so each meets T[1,3]
+    rng = random.Random(3)
+    nodes = [f"n{k}" for k in range(12)]
+    spans = [C(0, 2), C(3, 5), C(4, 9), C(10, 12)]
+    facts = {(rng.choice(nodes), "e", rng.choice(nodes)): [rng.choice(spans)] for _ in range(40)}
+    g = graph("discrete", C(0, 20), *[(s, p, o, v) for (s, p, o), v in facts.items()])
+    left_shapes = {u[2:] for u in eval_c(g, parse_query("e"))}
+    assert len(left_shapes) == 4 and len(facts) > 30
+    calls = []
+    original = ev.join_c
+
+    def counting(u1, u2):
+        calls.append(u1)
+        return original(u1, u2)
+
+    monkeypatch.setattr(ev, "join_c", counting)
+    got = eval_c(g, parse_query("e/T[1,3]"))
+    monkeypatch.undo()
+    navigation = [u1 for u1 in calls if u1.n1 == ""]  # T[1,3] is built once, for all nodes
+    assert len(navigation) == 1
+    per_shape = Counter(u1[2:] for u1 in calls if u1.n1 != "")
+    assert per_shape == Counter(left_shapes)
+    assert unfold(got, "c") == eval_direct(g, parse_query("e/T[1,3]"))
 
 
 @pytest.mark.parametrize("evaluator, mode, query", [
@@ -720,3 +787,64 @@ def test_domain_wide_navigation_equals_navigation_across_the_domain(running, kin
     for text in ("T[{},{}]", "attends/T[{},{}]/attends^-"):
         wide = evaluator(running, parse_query(text.format(-(10**9), 10**9)))
         assert wide == evaluator(running, parse_query(text.format(-w, w)))
+
+
+# --- leaf memo -------------------------------------------------------------------
+
+TWO_LABELS = graph(
+    "discrete", C(0, 6),
+    ("a", "e", "b", [C(0, 3)]),
+    ("b", "e", "c", [C(1, 4)]),
+    ("b", "e", "b", [C(0, 1), C(4, 5)]),
+    ("c", "f", "a", [C(2, 6)]),
+)
+
+
+@pytest.mark.parametrize("query, labels", [
+    ("e/e/e", {"e": 1}),
+    ("e+e", {"e": 1}),
+    ("e^-/e", {"e": 1}),
+    ("(e/f)[1,3]/e^-/?(f)/T[0,1]/T[0,1]", {"e": 1, "f": 1}),
+])
+@pytest.mark.parametrize("kind, evaluator", EVALUATORS, ids=["t", "d", "td", "c"])
+def test_each_label_leaf_is_built_once_per_evaluation(monkeypatch, kind, evaluator, query,
+                                                      labels):
+    calls = []
+    original = TemporalGraph.triples_with_label
+
+    def counting(self, label):
+        calls.append(label)
+        return original(self, label)
+
+    monkeypatch.setattr(TemporalGraph, "triples_with_label", counting)
+    q = parse_query(query)
+    for _ in range(2):  # the memo lives for one evaluation only
+        calls.clear()
+        got = evaluator(TWO_LABELS, q)
+        assert Counter(calls) == labels
+    monkeypatch.undo()
+    assert unfold(got, kind) == eval_direct(TWO_LABELS, q)
+
+
+@pytest.mark.parametrize("kind, evaluator", EVALUATORS, ids=["t", "d", "td", "c"])
+def test_repeated_leaves_match_the_oracle(kind, evaluator):
+    # each random query appears more than once, next to label leaves it shares
+    e = q_.Label("e")
+    for seed in range(40):
+        G, q = random_instance(seed)
+        for r in (
+            q_.Join(q, q),
+            q_.Union(q_.Join(q, e), q_.Join(q_.Inverse(e), q)),
+            q_.Repeat(q_.Union(q, e), 0, 2),
+        ):
+            assert unfold(evaluator(G, r), kind) == eval_direct(G, r), (seed, r)
+
+
+# --- nesting limit ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind, evaluator", EVALUATORS, ids=["t", "d", "td", "c"])
+def test_900_step_navigation_chain_evaluates_through_the_api(running, kind, evaluator):
+    # a left-deep join chain nests 900 levels; each level may take one stack frame
+    chain = evaluator(running, parse_query("/".join(["T[0,0]"] * 900)))
+    assert unfold(chain, kind) == unfold(evaluator(running, parse_query("T[0,0]")), kind)

@@ -100,6 +100,18 @@ def test_nodes_are_subject_and_object_columns():
         g = random_graph(rng)
         expected = {s for s, _, _ in g.facts} | {o for _, _, o in g.facts}
         assert graph_nodes(g) == expected
+        assert graph_nodes(g) is graph_nodes(g)  # built once, at construction
+        assert g.nodes == tuple(sorted(expected))
+
+
+def test_triples_with_label_lists_the_label_facts_in_fact_order():
+    rng = random.Random(6)
+    for _ in range(25):
+        g = random_graph(rng)
+        for label in ("e", "f", "g", "absent"):
+            assert list(g.triples_with_label(label)) == [
+                (s, o, validity) for (s, p, o), validity in g.facts.items() if p == label
+            ]
 
 
 def test_scale_graph_keeps_domain_fixed():

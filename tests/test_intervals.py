@@ -49,6 +49,35 @@ def test_empty_constructions_rejected():
         Interval(2, 2, False, False)
 
 
+@pytest.mark.parametrize("args, text", [
+    ((3, 1), "[3,1]"),
+    ((2, 2, True, False), "[2,2)"),
+    ((2, 2, False, False), "(2,2)"),
+    ((Fraction(1, 2), Fraction(1, 3), False, True), "(1/2,1/3]"),
+    ((Fraction(7, 2), Fraction(7, 2), False, True), "(7/2,7/2]"),
+])
+def test_empty_interval_error_names_the_interval(args, text):
+    with pytest.raises(EmptyIntervalError) as err:
+        Interval(*args)
+    assert str(err.value) == f"empty interval {text}"
+
+
+def test_interval_repr_str_and_equality():
+    assert repr(Interval(0, 1)) == "Interval(0, 1)"
+    assert repr(Interval(0, Fraction(1, 2))) == "Interval(0, Fraction(1, 2))"
+    assert repr(Interval(Fraction(1, 2), 1, False, True)) == "Interval.parse('(1/2,1]')"
+    assert repr(Interval(-1, 3, True, False)) == "Interval.parse('[-1,3)')"
+    assert str(Interval(Fraction(1, 2), 1, False, True)) == "(1/2,1]"
+    assert str(Interval(100, 112)) == "[100,112]"
+    open_interval = Interval(2, 5, False, False)
+    assert eval(repr(open_interval), {"Interval": Interval}) == open_interval
+    assert Interval(0, 1) == Interval(0, 1, True, True)
+    assert hash(Interval(0, 1)) == hash(Interval(0, Fraction(1)))
+    assert Interval(0, 1) != Interval(0, 1, True, False)
+    assert (Interval(0, 1).lo, Interval(0, 1).hi) == (0, 1)
+    assert not hasattr(Interval(0, 1), "__dict__")
+
+
 def test_parse_and_format_round_trip():
     for text in ("[100,112]", "(1,3]", "[0,2)", "(-7,0)", "[1/2,3/2]", "[-3/4,2]"):
         assert iv.format_interval(iv.parse_interval(text)) == text

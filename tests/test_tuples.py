@@ -1,4 +1,6 @@
 import random
+from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from trpq import eval_direct
 from trpq import intervals as iv
 from trpq.errors import DenseInfeasibleError
+from trpq.intervals import Interval
 from trpq.oracle import PointTuple
 from trpq.tuples import (
     CTuple,
@@ -125,6 +128,71 @@ def test_ctuple_valid_matches_admissible_window_reference():
         assert valid == _reference_ctuple_valid(c), c
         outcomes[valid] += 1
     assert min(outcomes.values()) > 2_500
+
+
+@dataclass(frozen=True, slots=True)
+class _ReferenceCTuple:
+    # the canonicalisation CTuple made in __post_init__ when it was a frozen
+    # dataclass, kept verbatim to check the one it now makes in __new__
+    n1: str
+    n2: str
+    tau: Interval
+    delta: Interval
+    b: object
+    e: object
+
+    def __post_init__(self):
+        if self.b < self.tau.lo:
+            object.__setattr__(self, "b", self.tau.lo)
+        elif self.b > self.tau.hi:
+            lo = self.delta.lo + (self.b - self.tau.hi)
+            if self._representable(lo, self.delta.hi):
+                object.__setattr__(
+                    self,
+                    "delta",
+                    Interval(lo, self.delta.hi, self.delta.left_closed, self.delta.right_closed),
+                )
+                object.__setattr__(self, "b", self.tau.hi)
+        if self.e > self.tau.hi:
+            object.__setattr__(self, "e", self.tau.hi)
+        elif self.e < self.tau.lo:
+            hi = self.delta.hi - (self.tau.lo - self.e)
+            if self._representable(self.delta.lo, hi):
+                object.__setattr__(
+                    self,
+                    "delta",
+                    Interval(self.delta.lo, hi, self.delta.left_closed, self.delta.right_closed),
+                )
+                object.__setattr__(self, "e", self.tau.lo)
+
+    def _representable(self, lo, hi) -> bool:
+        if lo < hi:
+            return True
+        return lo == hi and self.delta.left_closed and self.delta.right_closed
+
+
+def test_ctuple_canonical_form_matches_the_post_init_reference():
+    rng = random.Random(20261019)
+    values = [Fraction(k, 2) if k % 2 else k // 2 for k in range(-12, 13)]
+    seen = Counter()
+    for _ in range(20_000):
+        tau = _random_interval(rng, values)
+        delta = _random_interval(rng, values)
+        b = rng.choice(values) * 2  # crop points often outside tau, on either side
+        e = rng.choice(values) * 2
+        got = CTuple("a", "b", tau, delta, b, e)
+        ref = _ReferenceCTuple("a", "b", tau, delta, b, e)
+        want = (ref.n1, ref.n2, ref.tau, ref.delta, ref.b, ref.e)
+        assert tuple(got) == want, (tau, delta, b, e)
+        assert [type(x) for x in got] == [type(x) for x in want]
+        # the new form is a fixpoint, like the old one
+        assert CTuple(*got) == got
+        # every branch: clamped, inside, slid with delta, or too narrow to slide
+        seen["b", "below" if b < tau.lo else "inside" if b <= tau.hi else
+             "slid" if got.b != b else "stays"] += 1
+        seen["e", "above" if e > tau.hi else "inside" if e >= tau.lo else
+             "slid" if got.e != e else "stays"] += 1
+    assert len(seen) == 8 and min(seen.values()) > 1_000, seen
 
 
 @st.composite
