@@ -22,7 +22,7 @@ from pathlib import Path
 from . import compact
 from .errors import DenseInfeasibleError, TrpqError
 from .evaluate import EVALUATORS, AnswerSet
-from .graph import TemporalGraph, load_graph, scale_graph
+from .graph import TemporalGraph, graph_nodes, load_graph, scale_graph
 from .oracle import eval_direct
 from .query import MAX_ITERATIONS, parse_query, scale_query
 from .tuples import as_td, cells, render_tuple
@@ -120,8 +120,6 @@ def _cmd_eval(args) -> int:
 
 
 def _compact_count(G, q, repr_name, cap) -> int:
-    if repr_name not in EVALUATORS:
-        raise _UsageError(f"stats supports representations t, d, td, c; got {repr_name!r}")
     answers = EVALUATORS[repr_name](G, q, max_iterations=cap)
     # coalescing gives the unique minimal form in U^t and U^d; rectangles are reduced greedily
     return len(_coalesce(answers) if repr_name in ("t", "d") else _reduce(answers))
@@ -134,6 +132,9 @@ def _cmd_stats(args) -> int:
     factors = [_int(f, "--factors") for f in args.factors.split(",") if f.strip()]
     if any(f < 1 for f in factors):
         raise _UsageError(f"--factors must be positive integers, got {args.factors!r}")
+    for repr_name in reprs:
+        if repr_name not in EVALUATORS:
+            raise _UsageError(f"stats supports representations t, d, td, c; got {repr_name!r}")
     cap = _max_iterations(args)
     print("factor,repr,tuple_count")
     for factor in factors:
@@ -303,8 +304,6 @@ def _cmd_plot(args) -> int:
         raise DenseInfeasibleError(
             "dense time: only the cropped-rectangle representation can be plotted"
         )
-    from .graph import graph_nodes
-
     nodes = graph_nodes(G)
     for n in args.pair:
         if n not in nodes:
@@ -376,11 +375,6 @@ def main(argv=None) -> int:
         return EXIT_INFEASIBLE
     except (TrpqError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except RecursionError:
-        # a '/' or '+' chain nests one AST level per operand
-        print("error: query nested too deeply; split long '/' or '+' chains with parentheses",
-              file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -10,12 +10,13 @@ tuples whose unfolding is exactly the direct answer set:
 * ``eval_td`` in U^td (discrete time only: its join expands per time point);
 * ``eval_c``  in U^c  (both modes; the representation closed under join).
 
-All four share one recursion, ``_evaluate``: unions are set unions, joins
-bucket their right operand by source node, and repetition iterates join
-rounds semi-naively until a round adds nothing, with a round cap against
-non-terminating dense closures.  Each supplies a rule set, ``_Rules``:
-``flat(n1, n2, tau)`` builds the zero-distance, uncropped tuple of every
-label, inverse, node filter, negation gap and repetition identity;
+All four share one recursion, ``_evaluate``: unions are set unions, a join
+chain folds its operands left to right, bucketing each right operand by
+source node, and repetition iterates join rounds semi-naively until a round
+adds nothing, with a round cap against non-terminating dense closures.  Each
+supplies a rule set, ``_Rules``: ``flat(n1, n2, tau)`` builds the
+zero-distance, uncropped tuple of every label, inverse, node filter,
+negation gap and repetition identity;
 ``nav(G, delta)`` evaluates temporal navigation once for all nodes, as a
 tuple constructor and the node-independent fields of its tuples, which the
 recursion copies to every node; ``join(u1, u2)`` composes two tuples into
@@ -29,11 +30,12 @@ unary rule so that navigation is never materialised on its own.
 
 Two kinds of work are shared, each for no longer than it is needed.  Within
 one evaluation every distinct leaf subquery (label, node predicate, time
-bound, navigation) is built once, from the graph's label index: ``e/e/e``
-builds ``e`` once.  Within one join, the time fields of a result depend only
-on the two operands' time fields, never on their nodes, so each distinct pair
-of time shapes is joined once and copied to the other node pairs that share
-it; every join actually made still checks its operands and its result.
+bound, navigation) is built once, from the graph's label index, and bucketed
+once when it is a join's right operand: ``e/e/e`` builds and buckets ``e``
+once.  Within one join, the time fields of a result depend only on the two
+operands' time fields, never on their nodes, so each distinct pair of time
+shapes is joined once and copied to the other node pairs that share it;
+every join actually made still checks its operands and its result.
 """
 
 from __future__ import annotations
@@ -122,10 +124,9 @@ def _evaluate(G, q, rules: _Rules, cap: int, leaves: dict) -> set:
 
     ``leaves`` memoises leaf subqueries by value for one evaluation: each
     evaluator passes a new dict, so ``e/e/e`` builds ``e`` once and nothing
-    outlives the call.  Leaves alone are keyed, because their hash is shallow,
-    and they are built in a helper that does not recurse, so the recursion
-    keeps one frame per AST level.  The sets handed out are shared: no caller
-    may change them.
+    outlives the call.  Leaves alone are keyed, because their hash is
+    shallow.  The sets and buckets handed out are shared: no caller may
+    change them.
     """
     if isinstance(q, _LEAVES):
         out = leaves.get(q)
@@ -147,19 +148,34 @@ def _evaluate(G, q, rules: _Rules, cap: int, leaves: dict) -> set:
             for gap in iv.complement(taus.get(n, ()), G.domain, discrete=G.discrete)
         }
     if isinstance(q, q_.Join):
-        lhs = _evaluate(G, q.lhs, rules, cap, leaves)
-        if rules.nav_join is not None and isinstance(q.rhs, q_.TimeNav):
-            return rules.nav_join(lhs, q.rhs.delta, G)
-        rhs = _evaluate(G, q.rhs, rules, cap, leaves)
-        return _join_sets(lhs, _buckets(rhs), rules)
+        # left to right: ((p1 / p2) / p3) / ...
+        out = _evaluate(G, q.parts[0], rules, cap, leaves)
+        for part in q.parts[1:]:
+            if rules.nav_join is not None and isinstance(part, q_.TimeNav):
+                out = rules.nav_join(out, part.delta, G)
+            else:
+                out = _join_sets(out, _bucketed(G, part, rules, cap, leaves)[1], rules)
+        return out
     if isinstance(q, q_.Union):
-        return _evaluate(G, q.lhs, rules, cap, leaves) | _evaluate(G, q.rhs, rules, cap, leaves)
+        return set().union(*[_evaluate(G, part, rules, cap, leaves) for part in q.parts])
     if isinstance(q, q_.Repeat):
-        base = _evaluate(G, q.inner, rules, cap, leaves)
+        base, buckets = _bucketed(G, q.inner, rules, cap, leaves)
         identity = {rules.flat(n, n, G.domain) for n in G.nodes}
-        join_base = partial(_join_sets, buckets=_buckets(base), rules=rules)
+        join_base = partial(_join_sets, buckets=buckets, rules=rules)
         return _repeat_sets(base, q.m, q.n, identity, join_base, cap)
     raise TypeError(f"not a query node: {q!r}")
+
+
+def _bucketed(G, q, rules: _Rules, cap: int, leaves: dict) -> tuple[set, dict]:
+    """The answer set of q and ``_buckets`` of it; a leaf's go in the memo too."""
+    out = _evaluate(G, q, rules, cap, leaves)
+    if not isinstance(q, _LEAVES):
+        return out, _buckets(out)
+    key = ("buckets", q)
+    buckets = leaves.get(key)
+    if buckets is None:
+        buckets = leaves[key] = _buckets(out)
+    return out, buckets
 
 
 def _leaf(G, q, rules: _Rules) -> set:

@@ -108,14 +108,15 @@ def _eval(G, q, nodes, domain_points, cap) -> set[PointTuple]:
         inner = _eval(G, q.inner, nodes, domain_points, cap)
         return _identity(nodes, domain_points) - inner
     if isinstance(q, q_.Join):
-        return _compose(
-            _eval(G, q.lhs, nodes, domain_points, cap),
-            _eval(G, q.rhs, nodes, domain_points, cap),
-        )
+        out = _eval(G, q.parts[0], nodes, domain_points, cap)
+        for part in q.parts[1:]:
+            out = _compose(out, _eval(G, part, nodes, domain_points, cap))
+        return out
     if isinstance(q, q_.Union):
-        return _eval(G, q.lhs, nodes, domain_points, cap) | _eval(
-            G, q.rhs, nodes, domain_points, cap
-        )
+        out = set()
+        for part in q.parts:
+            out |= _eval(G, part, nodes, domain_points, cap)
+        return out
     if isinstance(q, q_.Repeat):
         base = _eval(G, q.inner, nodes, domain_points, cap)
         out: set[PointTuple] = set()

@@ -3,8 +3,8 @@
 Concrete syntax (EBNF, also shipped in the README):
 
     query    = union ;
-    union    = join { "+" join } ;
-    join     = postfix { "/" postfix } ;
+    union    = join { "+" join } ;                 (* one Union of all operands *)
+    join     = postfix { "/" postfix } ;           (* one Join of all operands *)
     postfix  = atom { "^-" | "[" nat "," ( nat | "_" ) "]" } ;
     atom     = timenav | label | test | negation | predicate
              | timebound | "(" query ")" ;
@@ -19,6 +19,13 @@ Concrete syntax (EBNF, also shipped in the README):
 Postfix operators bind tightest, then "/", then "+"; parentheses override.
 Inverse ``^-`` applies to edge expressions only (labels and their inverses),
 and negation applies to node filters only, mirroring the query grammar.
+
+A chain ``a/b/c`` or ``a + b + c`` is one n-ary node, so the depth of the
+syntax tree follows grouping and postfix nesting only.  ``parse_query``
+rejects a query that nests deeper than ``MAX_DEPTH`` levels, counting both
+tree levels and open groups; every recursion over a parsed query (the
+evaluators, the oracle, the printer, ``map_leaves``) stays within Python's
+stack because of that one bound.
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ from .errors import EmptyIntervalError, QueryParseError, TrpqError
 from .intervals import Interval, Number
 
 MAX_ITERATIONS = 10_000  # default cap on the rounds of unbounded repetition q[m,_]
+MAX_DEPTH = 200  # the deepest nesting parse_query accepts, in tree levels and in open groups
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,16 +81,29 @@ class Not:
     inner: "Trpq"
 
 
-@dataclass(frozen=True, slots=True)
-class Join:
-    lhs: "Trpq"
-    rhs: "Trpq"
+class _Chain:
+    """An n-ary node, built from its operands: ``Join(a, b, c)``."""
+
+    __slots__ = ()
+
+    def __init__(self, *parts: "Trpq"):
+        if len(parts) < 2:
+            raise ValueError(f"{type(self).__name__} needs at least two operands")
+        object.__setattr__(self, "parts", parts)
 
 
-@dataclass(frozen=True, slots=True)
-class Union:
-    lhs: "Trpq"
-    rhs: "Trpq"
+@dataclass(frozen=True, slots=True, init=False)
+class Join(_Chain):
+    """Composition of the operands, left to right."""
+
+    parts: tuple["Trpq", ...]
+
+
+@dataclass(frozen=True, slots=True, init=False)
+class Union(_Chain):
+    """Union of the operands."""
+
+    parts: tuple["Trpq", ...]
 
 
 @dataclass(frozen=True, slots=True)
@@ -94,32 +115,41 @@ class Repeat:
 
 Trpq = TUnion[Label, Inverse, Pred, LeqTime, TimeNav, Test, Not, Join, Union, Repeat]
 
-# the subquery fields of each inner node type, left to right; every other type is a leaf
-_CHILD_FIELDS = {
-    Inverse: ("edge",),
-    Test: ("inner",),
-    Not: ("inner",),
-    Repeat: ("inner",),
-    Join: ("lhs", "rhs"),
-    Union: ("lhs", "rhs"),
-}
+# the subquery field of each unary node type; Join and Union hold ``parts``,
+# every other type is a leaf
+_INNER_FIELD = {Inverse: "edge", Test: "inner", Not: "inner", Repeat: "inner"}
 
 
 def children(q: Trpq) -> tuple[Trpq, ...]:
     """The direct subqueries of ``q``, left to right; empty for a leaf."""
-    return tuple(getattr(q, name) for name in _CHILD_FIELDS.get(type(q), ()))
+    if isinstance(q, _Chain):
+        return q.parts
+    field = _INNER_FIELD.get(type(q))
+    return () if field is None else (getattr(q, field),)
 
 
 def map_leaves(q: Trpq, fn: Callable[[Trpq], Trpq]) -> Trpq:
     """``q`` rebuilt with every leaf replaced by ``fn(leaf)``, left to right."""
-    fields = _CHILD_FIELDS.get(type(q))
-    if fields is None:
+    if isinstance(q, _Chain):
+        return type(q)(*[map_leaves(part, fn) for part in q.parts])
+    field = _INNER_FIELD.get(type(q))
+    if field is None:
         return fn(q)
-    # a loop, not a comprehension: one stack frame per level of nesting
-    mapped = {}
-    for name in fields:
-        mapped[name] = map_leaves(getattr(q, name), fn)
-    return replace(q, **mapped)
+    return replace(q, **{field: map_leaves(getattr(q, field), fn)})
+
+
+def depth(q: Trpq) -> int:
+    """How many nodes enclose the deepest leaf of ``q``: 0 for a leaf.
+
+    A chain counts once: ``a/b/c`` has depth 1 and ``(a/b)/c`` depth 2.  Not
+    recursive, so it measures a tree of any depth.
+    """
+    deepest, stack = 0, [(q, 0)]
+    while stack:
+        node, level = stack.pop()
+        deepest = max(deepest, level)
+        stack.extend((child, level + 1) for child in children(node))
+    return deepest
 
 
 def is_edge_form(q: Trpq) -> bool:
@@ -131,17 +161,14 @@ def is_node_form(q: Trpq) -> bool:
 
 
 def power(q: Trpq, k: int) -> Trpq:
-    """k-fold self-join, left-nested: power(q, 3) = Join(Join(q, q), q).
+    """k-fold self-join as one chain: power(q, 3) = Join(q, q, q); power(q, 1) = q.
 
     k = 0 is rejected; the repetition operator handles the zero case through
     the node-identity relation instead.
     """
     if k < 1:
         raise ValueError("power requires k >= 1")
-    out = q
-    for _ in range(k - 1):
-        out = Join(out, q)
-    return out
+    return q if k == 1 else Join(*[q] * k)
 
 
 # --- lexer -----------------------------------------------------------------
@@ -182,11 +209,19 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+_TOO_DEEP = f"query nests deeper than {MAX_DEPTH} levels"
+
+
+def _chain(node_type, parts: list) -> Trpq:
+    return parts[0] if len(parts) == 1 else node_type(*parts)
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
         self.index = 0
+        self.groups = 0  # groups open at the current token; each costs parser frames
 
     def peek(self, ahead: int = 0) -> tuple[str, str, int]:
         return self.tokens[min(self.index + ahead, len(self.tokens) - 1)]
@@ -209,20 +244,23 @@ class _Parser:
         tok = self.peek()
         raise QueryParseError(message, position=tok[2])
 
-    # union < join < postfix < atom
     def parse_query(self) -> Trpq:
-        node = self.parse_join()
-        while self.peek()[0] == "+":
-            self.next()
-            node = Union(node, self.parse_join())
-        return node
+        """A "+" chain of "/" chains of postfix expressions; each chain is one node.
 
-    def parse_join(self) -> Trpq:
-        node = self.parse_postfix()
-        while self.peek()[0] == "/":
+        Both chain levels are parsed in this one frame, so that each open
+        group costs the parser three frames: this one, parse_postfix and
+        parse_atom.
+        """
+        joins = []
+        while True:
+            parts = [self.parse_postfix()]
+            while self.peek()[0] == "/":
+                self.next()
+                parts.append(self.parse_postfix())
+            joins.append(_chain(Join, parts))
+            if self.peek()[0] != "+":
+                return _chain(Union, joins)
             self.next()
-            node = Join(node, self.parse_postfix())
-        return node
 
     def parse_postfix(self) -> Trpq:
         node = self.parse_atom()
@@ -300,26 +338,37 @@ class _Parser:
             return Label(value)
         if kind == "?":
             self.next()
-            self.expect("(")
+            self.open_group(pos)
             inner = self.parse_query()
-            self.expect(")")
+            self.close_group()
             return Test(inner)
         if kind == "!":
             self.next()
-            self.expect("(")
+            self.open_group(pos)
             inner = self.parse_node_form()
-            self.expect(")")
+            self.close_group()
             return Not(inner)
         if kind == "(":
             nxt = self.peek(1)[0]
             if nxt in ("=", "!=", "<="):
                 self.next()
                 return self.parse_predicate_body()
-            self.next()
+            self.open_group(pos)
             inner = self.parse_query()
-            self.expect(")")
+            self.close_group()
             return inner
         self.fail(f"expected a query atom, got {value or 'end of input'!r}")
+
+    def open_group(self, pos: int):
+        """Consume the "(" of a group; the parser recurses once per open group."""
+        self.expect("(")
+        self.groups += 1
+        if self.groups > MAX_DEPTH:
+            raise QueryParseError(_TOO_DEEP, position=pos)
+
+    def close_group(self):
+        self.expect(")")
+        self.groups -= 1
 
     def parse_predicate_body(self) -> Trpq:
         """Body of a predicate form, after its opening parenthesis."""
@@ -349,11 +398,31 @@ class _Parser:
 
 
 def parse_query(text: str) -> Trpq:
+    """The query ``text`` as a syntax tree, each ``/`` or ``+`` chain one node.
+
+    >>> q = parse_query("a/b/c")
+    >>> q == Join(Label("a"), Label("b"), Label("c"))
+    True
+    >>> format_query(q)
+    'a/b/c'
+    >>> parse_query(format_query(q)) == q
+    True
+
+    A grouped chain stays a node of its own, and prints with its parentheses:
+
+    >>> format_query(parse_query("(a/b)/c"))
+    '(a/b)/c'
+
+    A query nesting deeper than ``MAX_DEPTH`` tree levels or open groups is
+    rejected with ``QueryParseError``.
+    """
     parser = _Parser(text)
     node = parser.parse_query()
     tok = parser.peek()
     if tok[0] != "end":
         raise QueryParseError(f"unexpected trailing input {tok[1]!r}", position=tok[2])
+    if depth(node) > MAX_DEPTH:
+        raise QueryParseError(_TOO_DEEP)
     return node
 
 
@@ -388,9 +457,10 @@ def _fmt(q: Trpq, required: int) -> str:
     elif isinstance(q, Not):
         body = f"!({_fmt(q.inner, _PREC_UNION)})"
     elif isinstance(q, Join):
-        body = _fmt(q.lhs, _PREC_JOIN) + "/" + _fmt(q.rhs, _PREC_POSTFIX)
+        # an operand that is itself a chain keeps its parentheses
+        body = "/".join([_fmt(part, _PREC_POSTFIX) for part in q.parts])
     elif isinstance(q, Union):
-        body = _fmt(q.lhs, _PREC_UNION) + " + " + _fmt(q.rhs, _PREC_JOIN)
+        body = " + ".join([_fmt(part, _PREC_JOIN) for part in q.parts])
     elif isinstance(q, Repeat):
         upper = "_" if q.n is None else str(q.n)
         body = f"{_fmt(q.inner, _PREC_POSTFIX)}[{q.m},{upper}]"

@@ -8,6 +8,9 @@ import pytest
 import trpq
 from trpq.bundled import data_text
 from trpq.cli import main
+from trpq.query import MAX_DEPTH
+
+from nesting import SHAPES
 
 
 @pytest.fixture
@@ -326,13 +329,29 @@ def test_point_rejects_compaction_flags(workdir, capsys, command, flags):
 
 
 def test_deep_query_exits_1(workdir, capsys):
+    # a long chain is one node, so only nesting past the documented limit fails
+    graph = workdir / "running.tg"
     chain = "/".join(["T[0,0]"] * 1200)
+    code, out, err = run(capsys, "eval", "--graph", graph, "--query", chain, "--repr", "c")
+    assert (code, err) == (0, "")
+    assert out == run(capsys, "eval", "--graph", graph, "--query", "T[0,0]", "--repr", "c")[1]
+    for shape in SHAPES.values():
+        nest = shape(MAX_DEPTH + 1)
+        code, out, err = run(capsys, "eval", "--graph", graph, "--query", nest, "--repr", "c")
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: query nests deeper than {MAX_DEPTH} levels")
+
+
+@pytest.mark.parametrize("reprs", ["t,x", "point"])
+def test_stats_rejects_an_unknown_representation_before_printing(workdir, capsys, reprs):
     code, out, err = run(
-        capsys, "eval", "--graph", workdir / "running.tg", "--query", chain, "--repr", "c"
+        capsys, "stats", "--graph", workdir / "running.tg", "--query", "attends",
+        "--scale", "query", "--factors", "1,2", "--reprs", reprs,
     )
     assert code == 1
     assert out == ""
-    assert err.startswith("error: query nested too deeply")
+    assert err.startswith("error: stats supports representations t, d, td, c")
 
 
 @pytest.mark.parametrize(

@@ -2,10 +2,11 @@
 
 ``trpq.cli.main`` is called with graph text, query text and flags drawn from
 the grammar's tokens.  One test draws well-formed input, so that most examples
-reach evaluation, compaction, plotting or stats; the other mixes in input
-that must be rejected: zero denominators (``1/0``), digit strings longer than
-the interpreter converts, non-UTF-8 bytes, malformed headers, unknown flags
-and out-of-range values.  Whatever the input, ``main`` must return 0, 1 or 2,
+reach evaluation, compaction, plotting or stats; its queries include ``/`` and
+``+`` chains of up to 300 operands.  The other mixes in input that must be
+rejected: zero denominators (``1/0``), digit strings longer than the
+interpreter converts, non-UTF-8 bytes, malformed headers, unknown flags,
+out-of-range values and queries nested one level past ``MAX_DEPTH``.  Whatever the input, ``main`` must return 0, 1 or 2,
 write ``error: ...`` when it does not return 0, and let no exception escape.
 
 The domains stay small (bounds of at most a few units) and ``--max-iterations``
@@ -26,6 +27,9 @@ from pathlib import Path
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from trpq.cli import main
+from trpq.query import MAX_DEPTH
+
+from nesting import SHAPES
 
 # stands for a literal of more digits than the interpreter converts to an
 # integer; spelt out only when the input is built, so that reports stay short
@@ -103,14 +107,22 @@ def queries(messy: bool):
             ),
         )
 
-    grammar = st.recursive(leaves, extend, max_leaves=4)
+    # a long "/" or "+" chain is one node, however many operands it has
+    operands = st.integers(2, 300).flatmap(lambda n: st.lists(leaves, min_size=n, max_size=n))
+    chains = st.tuples(st.sampled_from(("/", " + ")), operands).map(
+        lambda chain: chain[0].join(chain[1])
+    )
+    grammar = st.recursive(st.one_of(leaves, chains), extend, max_leaves=4)
     if not messy:
         return grammar
     # inverse and negation of any subquery, most of which the parser rejects
     grammar = st.one_of(grammar, grammar.map("({})^-".format), grammar.map("!({})".format))
     tokens = ("e", "T", "[", "]", "(", ")", "/", "+", "^-", "?", "!", ",", "_", "=", "<=",
               "1", "1/0", "@", LONG)
-    return st.one_of(grammar, st.lists(st.sampled_from(tokens), max_size=8).map("".join))
+    too_deep = st.sampled_from(list(SHAPES.values())).map(lambda shape: shape(MAX_DEPTH + 1))
+    return st.one_of(
+        grammar, st.lists(st.sampled_from(tokens), max_size=8).map("".join), too_deep
+    )
 
 
 @st.composite

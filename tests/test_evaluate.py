@@ -25,6 +25,7 @@ from trpq.graph import TemporalGraph, graph_nodes, scale_graph
 from trpq.query import scale_query
 from trpq.tuples import CTuple, DTuple, TDTuple, TTuple, ctuple_valid, delta_at, unfold
 
+from nesting import SHAPES
 from randgen import random_instance
 
 
@@ -403,17 +404,7 @@ def test_eval_c_scale_invariance_random_star_free():
     def star_free(node):
         if isinstance(node, RepeatNode):
             return False
-        from trpq.query import Inverse, Join, Not, Union
-        from trpq.query import Test as TestNode
-
-        children = []
-        if isinstance(node, Inverse):
-            children = [node.edge]
-        elif isinstance(node, (TestNode, Not)):
-            children = [node.inner]
-        elif isinstance(node, (Join, Union)):
-            children = [node.lhs, node.rhs]
-        return all(star_free(c) for c in children)
+        return all(star_free(c) for c in q_.children(node))
 
     checked = 0
     seed = 0
@@ -826,6 +817,29 @@ def test_each_label_leaf_is_built_once_per_evaluation(monkeypatch, kind, evaluat
     assert unfold(got, kind) == eval_direct(TWO_LABELS, q)
 
 
+@pytest.mark.parametrize("query, buckets, buckets_d", [
+    ("e/T[1,3]/e/T[1,3]/e", 2, 1),  # e and T[1,3]; U^d fuses navigation into the join
+    ("e/e + f/e", 1, 1),
+    ("e[1,3]/e", 1, 1),
+    ("e/(e/f)/(e/f)", 3, 3),  # f once, and the subtree e/f at each of its occurrences
+])
+@pytest.mark.parametrize("kind, evaluator", EVALUATORS, ids=["t", "d", "td", "c"])
+def test_each_leaf_is_bucketed_once_per_evaluation(monkeypatch, kind, evaluator, query,
+                                                   buckets, buckets_d):
+    calls = []
+    original = ev._buckets
+
+    def counting(B):
+        calls.append(len(B))
+        return original(B)
+
+    monkeypatch.setattr(ev, "_buckets", counting)
+    got = evaluator(TWO_LABELS, parse_query(query))
+    monkeypatch.undo()
+    assert len(calls) == (buckets_d if kind == "d" else buckets)
+    assert unfold(got, kind) == eval_direct(TWO_LABELS, parse_query(query))
+
+
 @pytest.mark.parametrize("kind, evaluator", EVALUATORS, ids=["t", "d", "td", "c"])
 def test_repeated_leaves_match_the_oracle(kind, evaluator):
     # each random query appears more than once, next to label leaves it shares
@@ -843,8 +857,19 @@ def test_repeated_leaves_match_the_oracle(kind, evaluator):
 # --- nesting limit ---------------------------------------------------------------
 
 
-@pytest.mark.parametrize("kind, evaluator", EVALUATORS, ids=["t", "d", "td", "c"])
-def test_900_step_navigation_chain_evaluates_through_the_api(running, kind, evaluator):
-    # a left-deep join chain nests 900 levels; each level may take one stack frame
-    chain = evaluator(running, parse_query("/".join(["T[0,0]"] * 900)))
-    assert unfold(chain, kind) == unfold(evaluator(running, parse_query("T[0,0]")), kind)
+def test_5000_step_navigation_chain_evaluates_through_the_api():
+    # a chain is one node however long it is, so no stack frame is spent per step
+    chain = parse_query("/".join(["T[0,0]"] * 5000))
+    step = parse_query("T[0,0]")
+    for kind, evaluator in EVALUATORS:
+        assert unfold(evaluator(CHAIN, chain), kind) == unfold(evaluator(CHAIN, step), kind)
+    assert eval_direct(CHAIN, chain) == eval_direct(CHAIN, step)
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_nesting_at_the_limit_evaluates(shape):
+    q = parse_query(SHAPES[shape](q_.MAX_DEPTH))
+    expected = eval_direct(CHAIN, q)
+    assert expected
+    for kind, evaluator in EVALUATORS:
+        assert unfold(evaluator(CHAIN, q), kind) == expected, kind

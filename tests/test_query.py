@@ -6,6 +6,7 @@ from trpq import format_query, parse_query, power
 from trpq import intervals as iv
 from trpq.errors import QueryParseError
 from trpq.query import (
+    MAX_DEPTH,
     Inverse,
     Join,
     Label,
@@ -17,28 +18,45 @@ from trpq.query import (
     TimeNav,
     Union,
     adapt_query,
+    depth,
+    map_leaves,
     scale_query,
 )
 
+from nesting import SHAPES
 from randgen import random_query
 
 
 def test_parse_q1():
-    # left-associative join chain starting from temporal navigation
+    # a join chain starting from temporal navigation is one node
     assert parse_query("T[3,5] / attends / attends^-") == Join(
-        Join(TimeNav(iv.closed(3, 5)), Label("attends")),
-        Inverse(Label("attends")),
+        TimeNav(iv.closed(3, 5)), Label("attends"), Inverse(Label("attends"))
     )
 
 
 def test_parse_q3():
     assert parse_query("attends^-/(=Alice)/T[3,5]/attends") == Join(
-        Join(
-            Join(Inverse(Label("attends")), Pred(True, "Alice")),
-            TimeNav(iv.closed(3, 5)),
-        ),
+        Inverse(Label("attends")),
+        Pred(True, "Alice"),
+        TimeNav(iv.closed(3, 5)),
         Label("attends"),
     )
+
+
+def test_chains_are_one_node_and_groups_stay_apart():
+    a, b, c = Label("a"), Label("b"), Label("c")
+    assert parse_query("a + b + c") == Union(a, b, c)
+    assert parse_query("(a/b)/c") == Join(Join(a, b), c)
+    assert parse_query("a/(b/c)") == Join(a, Join(b, c))
+    assert parse_query("(a + b) + c") == Union(Union(a, b), c)
+    for q in (Join(Join(a, b), c), Join(a, Join(b, c)), Union(Union(a, b), c)):
+        assert parse_query(format_query(q)) == q
+    assert format_query(Join(Join(a, b), c)) == "(a/b)/c"
+    assert depth(parse_query("/".join(["a"] * 5000))) == 1
+    assert depth(a) == 0
+    assert depth(Join(Join(a, b), c)) == 2
+    with pytest.raises(ValueError):
+        Join(a)
 
 
 def test_parse_unbounded_repeat_of_navigation():
@@ -125,7 +143,7 @@ def test_error_position_reported():
 def test_power():
     q = Label("e")
     assert power(q, 1) == q
-    assert power(q, 3) == Join(Join(q, q), q)
+    assert power(q, 3) == Join(q, q, q)
     with pytest.raises(ValueError):
         power(q, 0)
 
@@ -166,3 +184,26 @@ def test_adapt_query_discrete_rejects_vanishing_interval():
 def test_scale_query():
     ast = parse_query("T[0,1]/(<=2)")
     assert scale_query(ast, 3) == Join(TimeNav(iv.closed(0, 3)), LeqTime(6))
+
+
+# --- nesting limit ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_nesting_at_the_limit_is_accepted(shape):
+    q = parse_query(SHAPES[shape](MAX_DEPTH))
+    assert depth(q) == (0 if shape == "groups" else MAX_DEPTH)
+    assert parse_query(format_query(q)) == q
+    assert map_leaves(q, lambda leaf: leaf) == q
+    assert adapt_query(q, discrete=True) == q  # the leaves are already discrete
+    scaled = scale_query(q, 2)
+    assert depth(scaled) == depth(q)
+    assert parse_query(format_query(scaled)) == scaled
+    assert "T[0,1]" not in format_query(scaled) and "(<=1)" not in format_query(scaled)
+
+
+@pytest.mark.parametrize("levels", [MAX_DEPTH + 1, 10_000])
+@pytest.mark.parametrize("shape", SHAPES)
+def test_nesting_past_the_limit_is_rejected(shape, levels):
+    with pytest.raises(QueryParseError, match=f"nests deeper than {MAX_DEPTH} levels"):
+        parse_query(SHAPES[shape](levels))
