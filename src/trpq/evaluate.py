@@ -22,9 +22,10 @@ tuple constructor and the node-independent fields of its tuples, which the
 recursion copies to every node; ``join(u1, u2)`` composes two tuples into
 zero or more; ``reach(u1)`` bounds the times at which u1 can arrive, so that
 a join probes only the tuples of its bucket whose time interval can meet
-them.  U^d has no ``reach``: its join can fail on a pair before testing
-whether the pair meets, so it probes every pair, walking the left operands
-in canonical order so that such an error always cites the same interval.
+them.  Over dense time U^d has no ``reach``: its join can fail on a pair
+before testing whether the pair meets, so it probes every pair, walking the
+left operands in canonical order so that such an error always cites the same
+interval; over discrete time nothing can fail, and it prunes like the others.
 U^d alone adds ``nav_join``, a join with a trailing navigation fused into a
 unary rule so that navigation is never materialised on its own.
 
@@ -364,19 +365,21 @@ _T_RULES = _Rules(partial(TTuple, d=0), _nav_t, _join_t, _reach_t)
 # many groups even over dense time; a group is expanded to individual time
 # points only where a rule genuinely needs it, which over dense time is an
 # error unless the group's time interval is a singleton.  Groups reuse the
-# TDTuple shape (their unfolding is the same rectangle), and are expanded in
-# canonical order so that such an error always cites the same interval.
+# TDTuple shape (their unfolding is the same rectangle).  Over dense time
+# they are expanded in canonical order so that such an error always cites the
+# same interval; over discrete time no expansion fails, so order is moot.
 
 
 def eval_d(G: TemporalGraph, q: q_.Trpq, *, max_iterations: int = MAX_ITERATIONS) -> AnswerSet:
     """Inductive evaluation folding distances: tuples (n1, n2, t, delta)."""
     q = q_.adapt_query(q, G.discrete)
-    rules = _Rules(
-        _flat_td, _nav_d, partial(_join_d, G.discrete), nav_join=_nav_join_d
-    )
+    # over discrete time no join fails, so pairs that miss the hull of
+    # tau + delta are pruned: either _join_d branch composes them to nothing
+    reach = _reach_rect if G.discrete else None
+    rules = _Rules(_flat_td, _nav_d, partial(_join_d, G.discrete), reach, _nav_join_d)
     groups = _evaluate(G, q, rules, max_iterations, {})
     out = []
-    for g in sorted(groups, key=tuple_sort_key):
+    for g in groups if G.discrete else sorted(groups, key=tuple_sort_key):
         for t in _expand_times(g.tau, G.discrete):
             out.append(DTuple(g.n1, g.n2, t, g.delta))
     return AnswerSet("d", G.mode, out)
@@ -429,7 +432,7 @@ def _nav_join_d(groups, delta: Interval, G) -> set:
     """
     nodes = graph_nodes(G)
     out = set()
-    for g in sorted(groups, key=tuple_sort_key):
+    for g in groups if G.discrete else sorted(groups, key=tuple_sort_key):
         if g.n2 not in nodes:
             continue
         extended = iv.msum(g.delta, delta)
@@ -466,17 +469,14 @@ def join_td(u1: TDTuple, u2: TDTuple) -> tuple[TDTuple, ...]:
     arrivals = iv.intersect(iv.msum(u1.tau, u1.delta), u2.tau)
     if arrivals is None:
         return ()
+    # arrivals lie within tau1 + delta1, so the window and each slice are nonempty
     window = iv.intersect(iv.mdiff(arrivals, u1.delta), u1.tau)
-    if window is None:
-        return ()
     b = arrivals.lo - u1.delta.lo
     e = arrivals.hi - u1.delta.hi
     out = []
     for t in iv.iter_points(window):
         lo = u1.delta.lo + max(0, b - t)
         hi = u1.delta.hi - max(0, t - e)
-        if lo > hi:
-            continue
         out.append(TDTuple(u1.n1, u2.n2, iv.point(t), iv.msum(Interval(lo, hi), u2.delta)))
     return tuple(out)
 
@@ -514,10 +514,14 @@ _TD_RULES = _Rules(_flat_td, _nav_td, _join_td, _reach_rect)
 def join_c(u1: CTuple, u2: CTuple) -> Optional[CTuple]:
     """Composition of two cropped rectangles; None when they do not chain.
 
-    The departure window is (arrivals ominus delta1) n tau1, guarded by two
-    reachability conditions on the crop points (the windowed form with the
-    effective distance interval breaks down when the left operand is cropped
-    on both sides).  The result is again a valid cropped rectangle.
+    The arrivals of u1 are the band between its two crop lines.  The
+    earliest arrival at departure t is max(t, b1) + lo(delta1) and the latest
+    min(t, e1) + hi(delta1); over tau1 they reach b1 + lo(delta1) and
+    e1 + hi(delta1), because the canonical form (``CTuple.__new__``) keeps
+    b1 >= lo(tau1) and e1 <= hi(tau1).  The departure window is
+    (landing ominus delta1) n tau1, where the landing is the arrivals within
+    tau2; it is clipped to the times whose slice is nonempty, and the result
+    is again a valid cropped rectangle.
     """
     for u in (u1, u2):
         if not ctuple_valid(u):
@@ -525,35 +529,19 @@ def join_c(u1: CTuple, u2: CTuple) -> Optional[CTuple]:
     if u1.n2 != u2.n1:
         return None
     tau1, d1 = u1.tau, u1.delta
-    # effective distance boundaries over the whole tuple (formal pair: the
-    # lower one is taken at the earliest departure, the upper at the latest)
-    eff_lo = d1.lo + max(0, u1.b - tau1.lo)
-    eff_hi = d1.hi - max(0, tau1.hi - u1.e)
-    # arrival range; its infimum is attained anywhere on the flat part of the
+    # the infimum of the arrivals is attained anywhere on the flat part of the
     # arrival-lower-bound function, hence the b/e disjuncts in the delimiters
     arrivals = Interval(
-        tau1.lo + eff_lo,
-        tau1.hi + eff_hi,
+        u1.b + d1.lo,
+        u1.e + d1.hi,
         d1.left_closed and (tau1.left_closed or u1.b > tau1.lo),
         d1.right_closed and (tau1.right_closed or u1.e < tau1.hi),
     )
     landing = iv.intersect(arrivals, u2.tau)
     if landing is None:
         return None
-    # reachability of the landing window past the crop points
-    lo_reach = u1.b + d1.lo
-    if lo_reach > landing.hi or (
-        lo_reach == landing.hi and not (d1.left_closed and landing.right_closed)
-    ):
-        return None
-    hi_reach = u1.e + d1.hi
-    if hi_reach < landing.lo or (
-        hi_reach == landing.lo and not (d1.right_closed and landing.left_closed)
-    ):
-        return None
+    # every landing point is t + d with t in tau1, so this is never empty
     tau = iv.intersect(iv.mdiff(landing, d1), tau1)
-    if tau is None:
-        return None
     delta = iv.msum(d1, u2.delta)
     b = max(u1.b, u2.b - d1.lo)
     e = min(u1.e, u2.e - d1.hi)

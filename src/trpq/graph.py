@@ -94,8 +94,7 @@ def _parse_intervals(rest: str, line_no: int, offset: int) -> list[Interval]:
             line=line_no,
             column=offset + cursor + 1,
         )
-    if not found:
-        raise GraphParseError("expected at least one validity interval", line=line_no)
+    # never empty: rest is not blank, and text holding no interval is trailing text
     return found
 
 

@@ -285,24 +285,17 @@ def complement(items: Iterable[Interval], bound: Interval, *, discrete: bool) ->
         chk = normalize_discrete(iv) if discrete else iv
         if not covers(bound, chk):
             raise IntervalDomainError(f"{_render(iv)} is not contained in {_render(bound)}")
-    merged = coalesce(items, discrete=discrete)
     gaps: list[Interval] = []
-    if discrete:
-        cursor = bound.lo
-        for iv in merged:
-            if cursor <= iv.lo - 1:
-                gaps.append(closed(cursor, iv.lo - 1))
-            cursor = iv.hi + 1
-        if cursor <= bound.hi:
-            gaps.append(closed(cursor, bound.hi))
-        return tuple(gaps)
     cur_lo, cur_lc = bound.lo, bound.left_closed
-    for iv in merged:
+    for iv in coalesce(items, discrete=discrete):
         if cur_lo < iv.lo or (cur_lo == iv.lo and cur_lc and not iv.left_closed):
             gaps.append(Interval(cur_lo, iv.lo, cur_lc, not iv.left_closed))
         cur_lo, cur_lc = iv.hi, not iv.right_closed
     if cur_lo < bound.hi or (cur_lo == bound.hi and cur_lc and bound.right_closed):
         gaps.append(Interval(cur_lo, bound.hi, cur_lc, bound.right_closed))
+    if discrete:
+        # discretely coalesced items are at least one integer apart, so no gap is empty
+        return tuple(normalize_discrete(gap) for gap in gaps)
     return tuple(gaps)
 
 

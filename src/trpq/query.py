@@ -314,9 +314,7 @@ class _Parser:
             raise QueryParseError(str(exc), position=tok[2]) from None
 
     def parse_interval(self) -> Interval:
-        open_tok = self.next()
-        if open_tok[0] not in ("[", "("):
-            raise QueryParseError("expected an interval", position=open_tok[2])
+        open_tok = self.next()  # "[" or "(", seen by the caller
         lo = self.parse_number()
         self.expect(",")
         hi = self.parse_number()
@@ -377,14 +375,12 @@ class _Parser:
         return node
 
     def parse_predicate_inline(self) -> Trpq:
-        kind, _, pos = self.next()
+        kind = self.next()[0]  # "=", "!=" or "<=", seen by the caller
         if kind == "=":
             return Pred(True, self.expect("name")[1])
         if kind == "!=":
             return Pred(False, self.expect("name")[1])
-        if kind == "<=":
-            return LeqTime(self.parse_number())
-        raise QueryParseError("expected '=', '!=' or '<='", position=pos)
+        return LeqTime(self.parse_number())
 
     def parse_node_form(self) -> Trpq:
         kind = self.peek()[0]

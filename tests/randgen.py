@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 from trpq import intervals as iv
 from trpq import query as q_
@@ -10,6 +11,10 @@ from trpq.graph import TemporalGraph
 
 NODES = ["A", "B", "C", "D"]
 LABELS = ["e", "f", "g"]
+
+# int and Fraction endpoints on a half-step grid over [-6, 6], so that
+# endpoints tie often
+HALF_STEPS = [Fraction(k, 2) if k % 2 else k // 2 for k in range(-12, 13)]
 
 
 def random_graph(rng: random.Random) -> TemporalGraph:
@@ -32,6 +37,14 @@ def random_graph(rng: random.Random) -> TemporalGraph:
         key = (s, p, o)
         facts[key] = iv.coalesce(list(facts.get(key, ())) + validity, discrete=True)
     return TemporalGraph(mode="discrete", domain=domain, facts=facts)
+
+
+def random_mixed_interval(rng: random.Random, values) -> iv.Interval:
+    """An interval with endpoints from ``values`` and random delimiters."""
+    lo, hi = sorted((rng.choice(values), rng.choice(values)))
+    if lo == hi or rng.random() < 0.15:  # singletons are closed on both sides
+        return iv.point(lo)
+    return iv.Interval(lo, hi, rng.random() < 0.5, rng.random() < 0.5)
 
 
 def _random_interval(rng: random.Random) -> iv.Interval:

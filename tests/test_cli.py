@@ -103,6 +103,30 @@ def test_parse_error_exits_1(workdir, capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("graph, query, message", [
+    ("domain [0,1]\n", "e", "missing mode header"),
+    ("mode discrete\n", "e", "missing domain header"),
+    ("mode discrete\ndomain [0,5]\ndomain [0,5]\n", "e", "duplicate domain header (line 3)"),
+    ("mode discrete\ndomain foo\n", "e", "bad domain: not an interval literal: 'foo' (line 2)"),
+    ("mode discrete\ndomain (0,1)\n", "e",
+     "domain is empty over discrete time: interval (0,1) is empty over discrete time"),
+    ("mode discrete\ndomain [0,5]\na e b [0,1] x [2,3]\n", "e",
+     "unexpected text 'x' in interval list (line 3, column 12)"),
+    ("mode discrete\ndomain [0,5]\n", "e & f", "unexpected character '&' (at position 2)"),
+    ("mode discrete\ndomain [0,5]\n", "e[x,1]",
+     "expected a natural number, got 'x' (at position 2)"),
+    ("mode discrete\ndomain [0,5]\n", "e[1.5,2]",
+     "expected a natural number, got '1.5' (at position 2)"),
+    ("mode discrete\ndomain [0,5]\n", "T[1,2,3]", "expected ']' or ')' (at position 5)"),
+], ids=["no-mode", "no-domain", "duplicate-domain", "bad-domain", "empty-domain",
+        "text-between-intervals", "ampersand", "name-bound", "decimal-bound", "three-bounds"])
+def test_graph_and_query_errors_exit_1_with_their_message(tmp_path, capsys, graph, query, message):
+    path = tmp_path / "g.tg"
+    path.write_text(graph, encoding="utf-8")
+    code, out, err = run(capsys, "eval", "--graph", path, "--query", query, "--repr", "c")
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_missing_graph_exits_1(workdir, capsys):
     code, _, _ = run(
         capsys, "eval", "--graph", workdir / "nope.tg", "--query", "e", "--repr", "t"

@@ -23,10 +23,20 @@ from trpq.compact import coalesce_d, coalesce_t, minimize_exact
 from trpq.errors import DenseInfeasibleError, FixpointLimitError, InvalidTupleError
 from trpq.graph import TemporalGraph, graph_nodes, scale_graph
 from trpq.query import scale_query
-from trpq.tuples import CTuple, DTuple, TDTuple, TTuple, ctuple_valid, delta_at, unfold
+from trpq.tuples import (
+    CTuple,
+    DTuple,
+    TDTuple,
+    TTuple,
+    admissible_window,
+    ctuple_valid,
+    delta_at,
+    render_tuple,
+    unfold,
+)
 
 from nesting import SHAPES
-from randgen import random_instance
+from randgen import HALF_STEPS, random_instance, random_mixed_interval
 
 
 def C(lo, hi):
@@ -201,6 +211,53 @@ def test_join_td_random_against_composition():
         )
 
 
+def _reference_join_td(u1, u2):
+    # join_td as it stood with its empty-window and empty-slice checks, kept
+    # verbatim to check the one without them
+    if u1.n2 != u2.n1:
+        return ()
+    for interval in (u1.tau, u1.delta, u2.tau, u2.delta):
+        if not iv.is_discrete_canonical(interval):
+            raise DenseInfeasibleError(
+                "dense time: the U^td join expands per time point and is not finite"
+            )
+    arrivals = iv.intersect(iv.msum(u1.tau, u1.delta), u2.tau)
+    if arrivals is None:
+        return ()
+    window = iv.intersect(iv.mdiff(arrivals, u1.delta), u1.tau)
+    if window is None:
+        return ()
+    b = arrivals.lo - u1.delta.lo
+    e = arrivals.hi - u1.delta.hi
+    out = []
+    for t in iv.iter_points(window):
+        lo = u1.delta.lo + max(0, b - t)
+        hi = u1.delta.hi - max(0, t - e)
+        if lo > hi:
+            continue
+        out.append(TDTuple(u1.n1, u2.n2, iv.point(t), iv.msum(iv.Interval(lo, hi), u2.delta)))
+    return tuple(out)
+
+
+def test_join_td_matches_the_checked_reference():
+    rng = random.Random(20261018)
+
+    def rects(n1, n2):
+        shapes = [(a, a + w, c, c + v) for a in range(-6, 7) for w in range(5)
+                  for c in range(-3, 4) for v in range(5)]
+        return [TDTuple(n1, n2, C(a, b), C(c, d)) for a, b, c, d in shapes]
+
+    lefts, rights, strays = rects("a", "b"), rects("b", "c"), rects("x", "c")
+    chained = 0
+    for _ in range(200_000):
+        u1 = rng.choice(lefts)
+        u2 = rng.choice(rights if rng.random() < 0.95 else strays)
+        got = join_td(u1, u2)
+        assert got == _reference_join_td(u1, u2), (u1, u2)
+        chained += bool(got)
+    assert 50_000 < chained < 150_000
+
+
 # --- U^td ---------------------------------------------------------------------
 
 
@@ -272,8 +329,9 @@ def test_join_c_rejects_invalid_inputs():
 
 
 def test_join_c_cropped_left_operand():
-    # left operand cropped on the lower side: the effective-interval window
-    # formula would wrongly prune departures; the reach conditions keep them
+    # left operand cropped on the lower side: a window computed with one
+    # effective distance interval for the whole tuple would wrongly prune
+    # departures; (landing ominus delta1) n tau1 keeps them all
     u1 = CTuple("a", "b", C(0, 4), C(0, 4), 4, 4)
     u2 = CTuple("b", "c", C(4, 4), C(0, 0), 4, 4)
     out = join_c(u1, u2)
@@ -344,6 +402,119 @@ def test_join_c_grid_composition_sample():
         joined = join_c(u1, u2)
         got = _grid_relation(joined, grid) if joined is not None else set()
         assert got == composed
+
+
+def _reference_join_c(u1, u2):
+    # join_c as it stood with the effective-distance detour and the two
+    # reachability guards on the crop points, kept verbatim to check the one
+    # that reads its arrivals off the crop lines
+    for u in (u1, u2):
+        if not ctuple_valid(u):
+            raise InvalidTupleError(f"not a valid cropped tuple: {render_tuple(u)}")
+    if u1.n2 != u2.n1:
+        return None
+    tau1, d1 = u1.tau, u1.delta
+    # effective distance boundaries over the whole tuple (formal pair: the
+    # lower one is taken at the earliest departure, the upper at the latest)
+    eff_lo = d1.lo + max(0, u1.b - tau1.lo)
+    eff_hi = d1.hi - max(0, tau1.hi - u1.e)
+    # arrival range; its infimum is attained anywhere on the flat part of the
+    # arrival-lower-bound function, hence the b/e disjuncts in the delimiters
+    arrivals = iv.Interval(
+        tau1.lo + eff_lo,
+        tau1.hi + eff_hi,
+        d1.left_closed and (tau1.left_closed or u1.b > tau1.lo),
+        d1.right_closed and (tau1.right_closed or u1.e < tau1.hi),
+    )
+    landing = iv.intersect(arrivals, u2.tau)
+    if landing is None:
+        return None
+    # reachability of the landing window past the crop points
+    lo_reach = u1.b + d1.lo
+    if lo_reach > landing.hi or (
+        lo_reach == landing.hi and not (d1.left_closed and landing.right_closed)
+    ):
+        return None
+    hi_reach = u1.e + d1.hi
+    if hi_reach < landing.lo or (
+        hi_reach == landing.lo and not (d1.right_closed and landing.left_closed)
+    ):
+        return None
+    tau = iv.intersect(iv.mdiff(landing, d1), tau1)
+    if tau is None:
+        return None
+    delta = iv.msum(d1, u2.delta)
+    b = max(u1.b, u2.b - d1.lo)
+    e = min(u1.e, u2.e - d1.hi)
+    # With uniform delimiters the whole window is admissible (join theorem);
+    # mixing open and closed operands can leave a window endpoint whose slice
+    # is empty because its only point sits on a crop line with a delimiter the
+    # tuple cannot carry.  Clip to the admissible times: only crop-line points
+    # are affected, which is the representation's documented boundary gap.
+    ok = admissible_window(delta, b, e)
+    if ok is None:
+        return None
+    tau = iv.intersect(tau, ok)
+    if tau is None:
+        return None
+    result = CTuple(u1.n1, u2.n2, tau, delta, b, e)
+    if not ctuple_valid(result):
+        raise InvalidTupleError(f"join produced an invalid tuple: {render_tuple(result)}")
+    return result
+
+
+def _random_crop(rng, tau):
+    # on tau's ends, inside it, or past either end (a slide, possibly one
+    # that cannot be represented)
+    return rng.choice([tau.lo, tau.hi, (tau.lo + tau.hi) / 2, rng.choice(HALF_STEPS) * 2])
+
+
+def _random_ctuple(rng, n1, n2):
+    tau = random_mixed_interval(rng, HALF_STEPS)
+    delta = random_mixed_interval(rng, HALF_STEPS[6:19])  # within [-3, 3]
+    return CTuple(n1, n2, tau, delta, _random_crop(rng, tau), _random_crop(rng, tau))
+
+
+def _ctuple_pools(rng, n1, n2, size):
+    # valid and invalid tuples; a valid one never keeps a crop point past tau
+    pools = {True: [], False: []}
+    while min(len(pool) for pool in pools.values()) < size:
+        u = _random_ctuple(rng, n1, n2)
+        pools[ctuple_valid(u)].append(u)
+    return pools
+
+
+def _join_outcome(join, u1, u2):
+    try:
+        return join(u1, u2)
+    except InvalidTupleError as exc:
+        return str(exc)
+
+
+def test_join_c_matches_the_guarded_reference():
+    rng = random.Random(20261018)
+    lefts, rights, strays = (
+        _ctuple_pools(rng, n1, n2, 2_000) for n1, n2 in [("a", "b"), ("b", "c"), ("x", "c")]
+    )
+    assert not any(u.b > u.tau.hi or u.e < u.tau.lo for u in lefts[True] + rights[True])
+    outcomes = Counter()
+    for _ in range(200_000):
+        u1 = rng.choice(lefts[True])
+        u2 = rng.choice(rights[True] if rng.random() < 0.95 else strays[True])
+        got = join_c(u1, u2)
+        assert got == _reference_join_c(u1, u2), (u1, u2)
+        outcomes[got is None] += 1
+    assert min(outcomes.values()) > 50_000
+    # invalid operands, among them crop points slid past tau that cannot be
+    # represented, raise the same error
+    unrepresentable = 0
+    for _ in range(5_000):
+        u1, u2 = rng.choice(lefts[False]), rng.choice(rights[rng.random() < 0.5])
+        if rng.random() < 0.5:
+            u1, u2 = rng.choice(lefts[True]), rng.choice(rights[False])
+        assert _join_outcome(join_c, u1, u2) == _join_outcome(_reference_join_c, u1, u2)
+        unrepresentable += any(u.b > u.tau.hi or u.e < u.tau.lo for u in (u1, u2))
+    assert unrepresentable > 1_000
 
 
 # --- U^c ----------------------------------------------------------------------
@@ -588,18 +759,21 @@ _SHARED_NODES = ("a", "b", "c", "d", "e", "f")
 
 
 @pytest.mark.parametrize("kind, dense, shared", [
-    ("t", False, False), ("t", True, False), ("td", False, False), ("c", False, False),
-    ("c", True, False),
+    ("t", False, False), ("t", True, False), ("d", False, False), ("td", False, False),
+    ("c", False, False), ("c", True, False),
     ("t", False, True), ("t", True, True), ("d", False, True), ("td", False, True),
     ("c", False, True), ("c", True, True),
 ], ids=[
-    "t", "t-dense", "td", "c", "c-dense",
+    "t", "t-dense", "d", "td", "c", "c-dense",
     "t-shared", "t-dense-shared", "d-shared", "td-shared", "c-shared", "c-dense-shared",
 ])
 def test_pruned_join_sets_match_plain_bucket_loop(kind, dense, shared):
     rules = {
         "t": ev._T_RULES,
-        "d": ev._Rules(ev._flat_td, ev._nav_d, partial(ev._join_d, True)),
+        # discrete U^d prunes by the hull of tau + delta; d-shared keeps the
+        # probe-every-pair loop that dense U^d uses
+        "d": ev._Rules(ev._flat_td, ev._nav_d, partial(ev._join_d, True),
+                       None if shared else ev._reach_rect),
         "td": ev._TD_RULES,
         "c": ev._C_RULES,
     }[kind]
@@ -612,6 +786,25 @@ def test_pruned_join_sets_match_plain_bucket_loop(kind, dense, shared):
         assert ev._join_sets(A, ev._buckets(B), rules) == expected
         joined += len(expected)
     assert joined > 500  # the random sets chain often enough to compare something
+
+
+def test_discrete_eval_d_sorts_only_its_answer(monkeypatch, running):
+    # over discrete time no expansion can fail, so the groups go unsorted: the
+    # one sort left is the AnswerSet's, once per output tuple
+    calls = []
+    original = ev.tuple_sort_key
+
+    def counting(u):
+        calls.append(u)
+        return original(u)
+
+    monkeypatch.setattr(ev, "tuple_sort_key", counting)
+    q = parse_query("(attends/T[0,6]/attends^-)[1,3]/attends")
+    got = eval_d(running, q)
+    monkeypatch.undo()
+    assert len(got) > 10 and len(calls) == len(got)
+    assert all(isinstance(u, DTuple) for u in calls)
+    assert unfold(got, "d") == eval_direct(running, q)
 
 
 def test_join_c_runs_once_per_distinct_left_time_shape(monkeypatch):

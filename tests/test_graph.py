@@ -79,6 +79,18 @@ def test_comments_and_blank_lines_ignored():
         ("mode discrete\ndomain [0,5]\na e! b [0,1]\n", "predicate"),
         ("mode discrete\ndomain [0,5]\nmode discrete\n", "duplicate"),
         ("mode dense\ndomain (0,0]\n", "domain"),
+        ("domain [0,1]\n", "missing mode header"),
+        ("mode discrete\n", "missing domain header"),
+        ("mode discrete\ndomain [0,5]\ndomain [0,5]\n", "duplicate domain header (line 3)"),
+        ("mode discrete\ndomain foo\n", "bad domain: not an interval literal: 'foo' (line 2)"),
+        (
+            "mode discrete\ndomain (0,1)\n",
+            "domain is empty over discrete time: interval (0,1) is empty over discrete time",
+        ),
+        (
+            "mode discrete\ndomain [0,5]\na e b [0,1] x [2,3]\n",
+            "unexpected text 'x' in interval list (line 3, column 12)",
+        ),
     ],
 )
 def test_parse_errors(doc, needle):
@@ -119,6 +131,12 @@ def test_scale_graph_keeps_domain_fixed():
     scaled = scale_graph(g, 3)
     assert scaled.domain == g.domain
     assert scaled.val("a", "e", "b") == (iv.closed(0, 3),)
+
+
+def test_scale_graph_rejects_factor_zero():
+    g = load_graph("mode discrete\ndomain [0,8]\na e b [0,1]\n")
+    with pytest.raises(ValueError, match="scale factor must be a positive integer"):
+        scale_graph(g, 0)
 
 
 def test_scale_graph_rejects_escape():

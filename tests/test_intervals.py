@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -235,6 +236,43 @@ def test_complement_partitions_discrete(items, bound):
     gap_points = {t for g in gaps for t in points(g)}
     assert covered | gap_points == points(bound)
     assert not covered & gap_points
+
+
+def _loose(rng, a, b):
+    # an interval whose integer points are a..b, often with an open end or a
+    # half-step endpoint, which complement normalises
+    if rng.random() < 0.5:
+        return C(a, b)
+    left = rng.choice([(a, True), (a - 1, False), (a - Fraction(1, 2), True)])
+    right = rng.choice([(b, True), (b + 1, False), (b + Fraction(1, 2), True)])
+    return Interval(left[0], right[0], left[1], right[1])
+
+
+def _runs(values):
+    # the maximal runs of consecutive integers, as closed intervals
+    runs = []
+    for t in sorted(values):
+        if runs and runs[-1][1] == t - 1:
+            runs[-1][1] = t
+        else:
+            runs.append([t, t])
+    return tuple(C(a, b) for a, b in runs)
+
+
+def test_complement_discrete_matches_pointwise_reference():
+    rng = random.Random(9)
+    split = 0
+    for _ in range(5_000):
+        lo = rng.randint(-6, 6)
+        hi = lo + rng.randint(0, 12)
+        draws = range(rng.randint(0, 5))
+        spans = [sorted((rng.randint(lo, hi), rng.randint(lo, hi))) for _ in draws]
+        items = [_loose(rng, a, b) for a, b in spans]
+        got = iv.complement(items, _loose(rng, lo, hi), discrete=True)
+        covered = {t for a, b in spans for t in range(a, b + 1)}
+        assert got == _runs(points(C(lo, hi)) - covered), (items, lo, hi)
+        split += len(got) > 1
+    assert split > 500
 
 
 def _sample_points(intervals):

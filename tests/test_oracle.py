@@ -5,7 +5,7 @@ import pytest
 from trpq import PointTuple, eval_direct, induced_relation, parse_query, power
 from trpq import intervals as iv
 from trpq import oracle
-from trpq.errors import DenseInfeasibleError
+from trpq.errors import DenseInfeasibleError, FixpointLimitError
 from trpq.graph import TemporalGraph
 from trpq.query import Repeat
 
@@ -118,3 +118,10 @@ def test_bounded_repeat_stops_once_a_power_adds_nothing(monkeypatch, running):
     out = eval_direct(running, parse_query("attends[0,200000]"))
     assert len(calls) == 1  # the second power, attends/attends, is empty
     assert out == eval_direct(running, parse_query("attends[0,1]"))
+
+
+def test_round_cap_below_the_closure_raises(closure_graph):
+    q = parse_query("e/(T[2,2])[1,_]")
+    assert len(eval_direct(closure_graph, q, max_iterations=20)) == 10
+    with pytest.raises(FixpointLimitError, match=r"^no fixpoint after 1 rounds$"):
+        eval_direct(closure_graph, q, max_iterations=1)

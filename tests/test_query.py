@@ -134,6 +134,19 @@ def test_parse_errors(text):
         parse_query(text)
 
 
+@pytest.mark.parametrize("text, message, position", [
+    ("e & f", "unexpected character '&'", 2),
+    ("e[x,1]", "expected a natural number, got 'x'", 2),
+    ("e[1.5,2]", "expected a natural number, got '1.5'", 2),
+    ("T[1,2,3]", "expected ']' or ')'", 5),
+])
+def test_token_errors_name_their_position(text, message, position):
+    with pytest.raises(QueryParseError) as err:
+        parse_query(text)
+    assert err.value.position == position
+    assert str(err.value) == f"{message} (at position {position})"
+
+
 def test_error_position_reported():
     with pytest.raises(QueryParseError) as err:
         parse_query("a/b)")
@@ -184,6 +197,8 @@ def test_adapt_query_discrete_rejects_vanishing_interval():
 def test_scale_query():
     ast = parse_query("T[0,1]/(<=2)")
     assert scale_query(ast, 3) == Join(TimeNav(iv.closed(0, 3)), LeqTime(6))
+    with pytest.raises(ValueError, match="scale factor must be a positive integer"):
+        scale_query(ast, 0)
 
 
 # --- nesting limit ---------------------------------------------------------------

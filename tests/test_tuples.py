@@ -30,6 +30,8 @@ from trpq.tuples import (
     unfold_td,
 )
 
+from randgen import HALF_STEPS, random_mixed_interval
+
 
 def C(lo, hi):
     return iv.closed(lo, hi)
@@ -105,24 +107,15 @@ def _reference_ctuple_valid(c):
     return ok is not None and iv.covers(ok, c.tau)
 
 
-def _random_interval(rng, values):
-    lo, hi = sorted((rng.choice(values), rng.choice(values)))
-    if lo == hi or rng.random() < 0.15:  # singletons are closed on both sides
-        return iv.point(lo)
-    return iv.Interval(lo, hi, rng.random() < 0.5, rng.random() < 0.5)
-
-
 def test_ctuple_valid_matches_admissible_window_reference():
     rng = random.Random(20261018)
-    # int and Fraction endpoints on a half-step grid, so that endpoints tie often
-    values = [Fraction(k, 2) if k % 2 else k // 2 for k in range(-12, 13)]
     outcomes = {True: 0, False: 0}
     for _ in range(20_000):
-        tau = _random_interval(rng, values)
-        delta = _random_interval(rng, values)
+        tau = random_mixed_interval(rng, HALF_STEPS)
+        delta = random_mixed_interval(rng, HALF_STEPS)
         # crop points drawn well past tau on both sides
-        b = rng.choice(values) * 2
-        e = rng.choice(values) * 2
+        b = rng.choice(HALF_STEPS) * 2
+        e = rng.choice(HALF_STEPS) * 2
         c = CTuple("a", "b", tau, delta, b, e)
         valid = ctuple_valid(c)
         assert valid == _reference_ctuple_valid(c), c
@@ -173,13 +166,12 @@ class _ReferenceCTuple:
 
 def test_ctuple_canonical_form_matches_the_post_init_reference():
     rng = random.Random(20261019)
-    values = [Fraction(k, 2) if k % 2 else k // 2 for k in range(-12, 13)]
     seen = Counter()
     for _ in range(20_000):
-        tau = _random_interval(rng, values)
-        delta = _random_interval(rng, values)
-        b = rng.choice(values) * 2  # crop points often outside tau, on either side
-        e = rng.choice(values) * 2
+        tau = random_mixed_interval(rng, HALF_STEPS)
+        delta = random_mixed_interval(rng, HALF_STEPS)
+        b = rng.choice(HALF_STEPS) * 2  # crop points often outside tau, on either side
+        e = rng.choice(HALF_STEPS) * 2
         got = CTuple("a", "b", tau, delta, b, e)
         ref = _ReferenceCTuple("a", "b", tau, delta, b, e)
         want = (ref.n1, ref.n2, ref.tau, ref.delta, ref.b, ref.e)
