@@ -10,24 +10,29 @@ tuples whose unfolding is exactly the direct answer set:
 * ``eval_td`` in U^td (discrete time only: its join expands per time point);
 * ``eval_c``  in U^c  (both modes; the representation closed under join).
 
-All four share one recursion, ``_evaluate``: unions are set unions, a join
-chain folds its operands left to right, bucketing each right operand by
-source node, and repetition iterates join rounds semi-naively until a round
-adds nothing, with a round cap against non-terminating dense closures.  Each
-supplies a rule set, ``_Rules``: ``flat(n1, n2, tau)`` builds the
-zero-distance, uncropped tuple of every label, inverse, node filter,
-negation gap and repetition identity;
-``nav(G, delta)`` evaluates temporal navigation once for all nodes, as a
-tuple constructor and the node-independent fields of its tuples, which the
-recursion copies to every node; ``join(u1, u2)`` composes two tuples into
-zero or more; ``reach(u1)`` bounds the times at which u1 can arrive, so that
-a join probes only the tuples of its bucket whose time interval can meet
-them.  Over dense time U^d has no ``reach``: its join can fail on a pair
-before testing whether the pair meets, so it probes every pair, walking the
-left operands in canonical order so that such an error always cites the same
-interval; over discrete time nothing can fail, and it prunes like the others.
-U^d alone adds ``nav_join``, a join with a trailing navigation fused into a
-unary rule so that navigation is never materialised on its own.
+All four share one recursion, ``_evaluate``, on two tuple shapes: cropped
+rectangles in U^c, plain rectangles (``TDTuple``) in the others.  A U^t
+rectangle has the distance side [d, d] and is read out as (n1, n2, tau, d);
+a U^d group is read out as one (n1, n2, t, delta) per time point of tau.
+Unions are set unions, a join chain folds its operands left to right,
+bucketing each right operand by source node, and repetition iterates join
+rounds semi-naively until a round adds nothing, with a round cap against
+non-terminating dense closures.  Each representation supplies ``_Rules``,
+naming only what differs from the defaults: ``nav(G, delta)`` evaluates
+temporal navigation once for all nodes, as a tuple constructor and the
+node-independent fields that the recursion copies to every node;
+``join(u1, u2)`` composes two tuples into zero or more; ``flat(n1, n2, tau)``
+builds the zero-distance, uncropped tuple of labels, inverses, node filters,
+negation gaps and repetition identities (by default delta is [0, 0]);
+``reach(u1)`` bounds the times at which u1 can arrive (by default the hull
+of tau + delta), so that a join probes only the tuples of its bucket whose
+time interval can meet them.  U^t joins with ``_join_fixed``, the hop of
+fixed length that U^d's join takes when delta is one point; U^td navigates
+as U^d does.  Over dense time U^d has no ``reach``: its join can fail on a
+pair before testing whether the pair meets, so it probes every pair, walking
+the left operands in canonical order so that an error always cites the same
+interval.  U^d alone adds ``nav_join``, a join with a trailing navigation
+fused into a unary rule so that navigation is never materialised on its own.
 
 Two kinds of work are shared, each for no longer than it is needed.  Within
 one evaluation every distinct leaf subquery (label, node predicate, time
@@ -65,7 +70,12 @@ from .tuples import (
 KINDS = ("point", "t", "d", "td", "c")
 
 _ZERO = iv.point(0)
-_flat_td = partial(TDTuple, delta=_ZERO)  # also the shape of a U^d group
+_flat_td = partial(TDTuple, delta=_ZERO)
+
+
+def _reach_rect(u: TDTuple | CTuple) -> tuple[Number, Number]:
+    """The closed hull of tau + delta, which holds every arrival of u."""
+    return u.tau.lo + u.delta.lo, u.tau.hi + u.delta.hi
 
 
 class AnswerSet:
@@ -105,10 +115,10 @@ class AnswerSet:
 class _Rules(NamedTuple):
     """What one representation supplies to the shared recursion (see the module docstring)."""
 
-    flat: Callable
     nav: Callable
     join: Callable
-    reach: Optional[Callable] = None
+    flat: Callable = _flat_td
+    reach: Optional[Callable] = _reach_rect
     nav_join: Optional[Callable] = None
 
 
@@ -259,11 +269,6 @@ def _join_sets(A, buckets, rules: _Rules) -> set:
     return out
 
 
-def _reach_rect(u: TDTuple | CTuple) -> tuple[Number, Number]:
-    """The closed hull of tau + delta, which holds every arrival of u."""
-    return u.tau.lo + u.delta.lo, u.tau.hi + u.delta.hi
-
-
 def _repeat_sets(base, m, n, identity, join_base, cap):
     """Union of the k-fold join powers of ``base`` for m <= k (<= n).
 
@@ -324,50 +329,45 @@ def eval_t(G: TemporalGraph, q: q_.Trpq, *, max_iterations: int = MAX_ITERATIONS
     q = q_.adapt_query(q, G.discrete)
     if not G.discrete:
         _check_dense_t_feasible(q)
-    return AnswerSet("t", G.mode, _evaluate(G, q, _T_RULES, max_iterations, {}))
+    rects = _evaluate(G, q, _T_RULES, max_iterations, {})
+    return AnswerSet("t", G.mode, (TTuple(u.n1, u.n2, u.tau, u.delta.lo) for u in rects))
 
 
 def _nav_t(G, delta: Interval):
-    """One tuple (domain n (domain - d), d) per distance d in delta n (domain - domain).
+    """One rectangle (domain n (domain - d), [d, d]) per distance d in delta n (domain - domain).
 
-    Over discrete time those are integer points; over dense time delta is a
-    single point, checked up front.
+    Over discrete time those are integer points; over dense time delta is one
+    point, checked up front.
     """
     domain = G.domain
     spans = iv.intersect(delta, iv.mdiff(domain, domain))
     if spans is None:
-        return TTuple, ()
+        return TDTuple, ()
     distances = iv.iter_points(spans) if G.discrete else (spans.lo,)
-    return TTuple, [(iv.intersect(domain, iv.shift(domain, -d)), d) for d in distances]
+    return TDTuple, [(iv.intersect(domain, iv.shift(domain, -d)), iv.point(d)) for d in distances]
 
 
-def _join_t(u1: TTuple, u2: TTuple) -> tuple[TTuple, ...]:
-    overlap = iv.intersect(iv.shift(u1.tau, u1.d), u2.tau)
-    if overlap is None:
+def _join_fixed(u1: TDTuple, u2: TDTuple) -> tuple[TDTuple, ...]:
+    """The join for a u1 whose delta is one point c: its departures are u2's shifted back by c."""
+    c = u1.delta.lo
+    shared = iv.intersect(u1.tau, iv.shift(u2.tau, -c))
+    if shared is None:
         return ()
-    return (TTuple(u1.n1, u2.n2, iv.shift(overlap, -u1.d), u1.d + u2.d),)
+    return (TDTuple(u1.n1, u2.n2, shared, iv.shift(u2.delta, c)),)
 
 
-def _reach_t(u: TTuple) -> tuple[Number, Number]:
-    """The closed hull of tau + d, which holds every arrival of u."""
-    return u.tau.lo + u.d, u.tau.hi + u.d
-
-
-_T_RULES = _Rules(partial(TTuple, d=0), _nav_t, _join_t, _reach_t)
+_T_RULES = _Rules(_nav_t, _join_fixed)
 
 
 # --------------------------------------------------------------------------
 # U^d
 # --------------------------------------------------------------------------
 #
-# Internally eval_d works on groups (n1, n2, tau, delta): one DTuple per time
-# point of tau, all sharing delta.  Node and edge filters produce finitely
-# many groups even over dense time; a group is expanded to individual time
-# points only where a rule genuinely needs it, which over dense time is an
-# error unless the group's time interval is a singleton.  Groups reuse the
-# TDTuple shape (their unfolding is the same rectangle).  Over dense time
-# they are expanded in canonical order so that such an error always cites the
-# same interval; over discrete time no expansion fails, so order is moot.
+# A U^d group (n1, n2, tau, delta) stands for one DTuple per time point of
+# tau.  Node and edge filters give finitely many groups even over dense time;
+# a rule expands a group only where it must, which over dense time is an
+# error unless tau is one point.  There groups are expanded in canonical
+# order, so that the error always cites the same interval.
 
 
 def eval_d(G: TemporalGraph, q: q_.Trpq, *, max_iterations: int = MAX_ITERATIONS) -> AnswerSet:
@@ -376,7 +376,7 @@ def eval_d(G: TemporalGraph, q: q_.Trpq, *, max_iterations: int = MAX_ITERATIONS
     # over discrete time no join fails, so pairs that miss the hull of
     # tau + delta are pruned: either _join_d branch composes them to nothing
     reach = _reach_rect if G.discrete else None
-    rules = _Rules(_flat_td, _nav_d, partial(_join_d, G.discrete), reach, _nav_join_d)
+    rules = _Rules(_nav_d, partial(_join_d, G.discrete), reach=reach, nav_join=_nav_join_d)
     groups = _evaluate(G, q, rules, max_iterations, {})
     out = []
     for g in groups if G.discrete else sorted(groups, key=tuple_sort_key):
@@ -396,6 +396,7 @@ def _expand_times(tau: Interval, discrete: bool):
 
 
 def _nav_d(G, delta: Interval):
+    """One rectangle ([t, t], the distances delta allows from t) per time point t."""
     shapes = []
     for t in _expand_times(G.domain, G.discrete):
         landing = iv.intersect(iv.shift(delta, t), G.domain)
@@ -404,14 +405,9 @@ def _nav_d(G, delta: Interval):
     return TDTuple, shapes
 
 
-def _join_d(discrete: bool, u1: TDTuple, u2: TDTuple) -> list[TDTuple]:
+def _join_d(discrete: bool, u1: TDTuple, u2: TDTuple) -> tuple[TDTuple, ...]:
     if u1.delta.is_singleton:
-        # fixed hop length c: departures are arrivals shifted back by c
-        c = u1.delta.lo
-        shared = iv.intersect(u1.tau, iv.shift(u2.tau, -c))
-        if shared is None:
-            return []
-        return [TDTuple(u1.n1, u2.n2, shared, iv.shift(u2.delta, c))]
+        return _join_fixed(u1, u2)
     out = []
     for t1 in _expand_times(u1.tau, discrete):
         arrivals = iv.intersect(u2.tau, iv.shift(u1.delta, t1))
@@ -420,7 +416,7 @@ def _join_d(discrete: bool, u1: TDTuple, u2: TDTuple) -> list[TDTuple]:
         out.append(
             TDTuple(u1.n1, u2.n2, iv.point(t1), iv.msum(iv.shift(arrivals, -t1), u2.delta))
         )
-    return out
+    return tuple(out)
 
 
 def _nav_join_d(groups, delta: Interval, G) -> set:
@@ -486,24 +482,10 @@ def eval_td(G: TemporalGraph, q: q_.Trpq, *, max_iterations: int = MAX_ITERATION
     if not G.discrete:
         raise DenseInfeasibleError("dense time: U^td may require infinitely many rectangles")
     q = q_.adapt_query(q, True)
-    return AnswerSet("td", G.mode, _evaluate(G, q, _TD_RULES, max_iterations, {}))
-
-
-# The U^td and U^c rules look join_td and join_c up by their module-level
-# names on every call, so that rebinding those names (as a tracer does)
-# reaches every join the evaluators make.
-
-
-def _nav_td(G, delta: Interval):
-    joined = join_td(TDTuple("", "", G.domain, delta), _flat_td("", "", G.domain))
-    return TDTuple, [(u.tau, u.delta) for u in joined]
-
-
-def _join_td(u1: TDTuple, u2: TDTuple) -> tuple[TDTuple, ...]:
-    return join_td(u1, u2)
-
-
-_TD_RULES = _Rules(_flat_td, _nav_td, _join_td, _reach_rect)
+    # navigation is U^d's, the same shapes over discrete time; join_td is
+    # named per call, so rebinding it (as a tracer does) reaches every join
+    rules = _Rules(_nav_d, join_td)
+    return AnswerSet("td", G.mode, _evaluate(G, q, rules, max_iterations, {}))
 
 
 # --------------------------------------------------------------------------
@@ -522,6 +504,13 @@ def join_c(u1: CTuple, u2: CTuple) -> Optional[CTuple]:
     (landing ominus delta1) n tau1, where the landing is the arrivals within
     tau2; it is clipped to the times whose slice is nonempty, and the result
     is again a valid cropped rectangle.
+
+    The clip never empties the window.  A landing point is t + d1 with t in
+    tau1 and d1 in u1's slice at t, and u2's slice there holds some d2; the
+    result's closed slice bounds at t hold d1 + d2, so t lies in the closed
+    admissible window.  Were t an end of the open window of an open delta,
+    d1 + d2 would be an end of delta, d1 open at its other end, and tau1
+    would run on past t (else b - e >= width(delta)): the window meets it.
     """
     for u in (u1, u2):
         if not ctuple_valid(u):
@@ -554,8 +543,6 @@ def join_c(u1: CTuple, u2: CTuple) -> Optional[CTuple]:
     if ok is None:
         return None
     tau = iv.intersect(tau, ok)
-    if tau is None:
-        return None
     result = CTuple(u1.n1, u2.n2, tau, delta, b, e)
     if not ctuple_valid(result):
         raise InvalidTupleError(f"join produced an invalid tuple: {render_tuple(result)}")
@@ -573,6 +560,8 @@ def _uncropped(n1: str, n2: str, tau: Interval, delta: Interval = _ZERO) -> CTup
 
 
 def _join_c(u1: CTuple, u2: CTuple) -> tuple[CTuple, ...]:
+    # join_c is looked up by its module-level name on every call, so that
+    # rebinding it (as a tracer does) reaches every join, navigation's too
     joined = join_c(u1, u2)
     return () if joined is None else (joined,)
 
@@ -582,7 +571,7 @@ def _nav_c(G, delta: Interval):
     return CTuple, [(u.tau, u.delta, u.b, u.e) for u in joined]
 
 
-_C_RULES = _Rules(_uncropped, _nav_c, _join_c, _reach_rect)
+_C_RULES = _Rules(_nav_c, _join_c, flat=_uncropped)
 
 
 EVALUATORS = {"t": eval_t, "d": eval_d, "td": eval_td, "c": eval_c}

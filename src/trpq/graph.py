@@ -188,9 +188,9 @@ def load_graph(text: str) -> TemporalGraph:
 
 def serialize_graph(g: TemporalGraph) -> str:
     """Canonical textual form; load -> serialize -> load is a fixpoint."""
-    lines = [f"mode {g.mode}", f"domain {iv.format_interval(g.domain)}"]
+    lines = [f"mode {g.mode}", f"domain {g.domain}"]
     for (s, p, o), validity in sorted(g.facts.items()):
-        rendered = ", ".join(iv.format_interval(x) for x in validity)
+        rendered = ", ".join(str(x) for x in validity)
         lines.append(f"{s} {p} {o} {rendered}")
     return "\n".join(lines) + "\n"
 

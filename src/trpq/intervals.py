@@ -121,10 +121,6 @@ def _render(iv: tuple) -> str:
     return f"{left}{format_number(lo)},{format_number(hi)}{right}"
 
 
-def format_interval(iv: Interval) -> str:
-    return _render(iv)
-
-
 def parse_interval(text: str) -> Interval:
     m = _INTERVAL_RE.fullmatch(text)
     if m is None:

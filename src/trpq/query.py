@@ -447,7 +447,7 @@ def _fmt(q: Trpq, required: int) -> str:
     elif isinstance(q, LeqTime):
         body = f"(<={iv.format_number(q.bound)})"
     elif isinstance(q, TimeNav):
-        body = "T" + iv.format_interval(q.delta)
+        body = f"T{q.delta}"
     elif isinstance(q, Test):
         body = f"?({_fmt(q.inner, _PREC_UNION)})"
     elif isinstance(q, Not):

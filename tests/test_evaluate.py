@@ -29,6 +29,8 @@ from trpq.tuples import (
     TDTuple,
     TTuple,
     admissible_window,
+    as_ctuple,
+    as_td,
     ctuple_valid,
     delta_at,
     render_tuple,
@@ -110,6 +112,37 @@ def test_eval_t_dense_singleton_closure():
     assert by_d[1] == [C(0, 2)]
     assert by_d[2] == [C(0, 1)]
     assert by_d[3] == [C(0, 0)]
+
+
+def _has_not(q):
+    return isinstance(q, q_.Not) or any(_has_not(child) for child in q_.children(q))
+
+
+def _grid_relations(answer, embed, grid):
+    # (n1, n2) -> the (departure, arrival) grid points of the answer's tuples
+    out = {}
+    for u in answer:
+        out.setdefault((u.n1, u.n2), set()).update(_grid_relation(embed(u), grid))
+    return out
+
+
+def test_dense_eval_t_matches_eval_c_on_the_half_step_grid():
+    # random instances made dense, every navigation narrowed to the point [lo, lo]
+    def narrow(leaf):
+        return q_.TimeNav(iv.point(leaf.delta.lo)) if isinstance(leaf, q_.TimeNav) else leaf
+
+    checked = 0
+    for seed in range(150):
+        g, q = random_instance(seed)
+        if _has_not(q):
+            continue
+        g = TemporalGraph("dense", g.domain, g.facts)
+        q = q_.map_leaves(q, narrow)
+        grid = [g.domain.lo + Fraction(k, 2) for k in range(2 * (g.domain.hi - g.domain.lo) + 1)]
+        got = _grid_relations(eval_t(g, q), lambda u: as_ctuple(as_td(u)), grid)
+        assert got == _grid_relations(eval_c(g, q), lambda u: u, grid), (seed, q)
+        checked += bool(got)
+    assert checked > 40
 
 
 # --- U^d ----------------------------------------------------------------------
@@ -290,6 +323,18 @@ def test_eval_td_discrete_parallelogram():
 def test_eval_td_dense_rejected(parallelogram):
     with pytest.raises(DenseInfeasibleError):
         eval_td(parallelogram, parse_query("e1/T[0,2]/e2"))
+
+
+@pytest.mark.parametrize("lo, width", [(0, 0), (0, 3), (-2, 6), (5, 1)])
+def test_eval_td_navigation_is_the_join_of_navigation_with_the_domain(lo, width):
+    # U^td navigates as U^d does: per time point, the distances delta allows
+    G = graph("discrete", C(lo, lo + width))
+    for a in range(-width - 2, width + 3):
+        for b in range(a, width + 3):
+            delta = C(a, b)
+            joined = join_td(TDTuple("", "", G.domain, delta), TDTuple("", "", G.domain, C(0, 0)))
+            make, shapes = ev._nav_d(G, delta)
+            assert {make("", "", *shape) for shape in shapes} == set(joined), delta
 
 
 # --- join_c -------------------------------------------------------------------
@@ -772,9 +817,9 @@ def test_pruned_join_sets_match_plain_bucket_loop(kind, dense, shared):
         "t": ev._T_RULES,
         # discrete U^d prunes by the hull of tau + delta; d-shared keeps the
         # probe-every-pair loop that dense U^d uses
-        "d": ev._Rules(ev._flat_td, ev._nav_d, partial(ev._join_d, True),
-                       None if shared else ev._reach_rect),
-        "td": ev._TD_RULES,
+        "d": ev._Rules(nav=ev._nav_d, join=partial(ev._join_d, True),
+                       reach=None if shared else ev._reach_rect),
+        "td": ev._Rules(nav=ev._nav_d, join=join_td),
         "c": ev._C_RULES,
     }[kind]
     rng = random.Random(f"{kind}-{dense}-shared" if shared else f"{kind}-{dense}")
@@ -782,6 +827,8 @@ def test_pruned_join_sets_match_plain_bucket_loop(kind, dense, shared):
     joined = 0
     for _ in range(150):
         A, B = make_sets(rng, "td" if kind == "d" else kind, dense)  # d joins td-shaped groups
+        if kind == "t":  # U^t joins rectangles whose delta is the point [d, d]
+            A, B = [as_td(u) for u in A], [as_td(u) for u in B]
         expected = _reference_join_sets(A, B, rules.join)
         assert ev._join_sets(A, ev._buckets(B), rules) == expected
         joined += len(expected)

@@ -81,7 +81,7 @@ def test_interval_repr_str_and_equality():
 
 def test_parse_and_format_round_trip():
     for text in ("[100,112]", "(1,3]", "[0,2)", "(-7,0)", "[1/2,3/2]", "[-3/4,2]"):
-        assert iv.format_interval(iv.parse_interval(text)) == text
+        assert str(iv.parse_interval(text)) == text
 
 
 def test_parse_decimal_is_exact():
