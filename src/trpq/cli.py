@@ -20,8 +20,9 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import compact
+from . import intervals as iv
 from .errors import DenseInfeasibleError, TrpqError
-from .evaluate import EVALUATORS, AnswerSet
+from .evaluate import EVALUATORS, KINDS, AnswerSet
 from .graph import TemporalGraph, graph_nodes, load_graph, scale_graph
 from .oracle import eval_direct
 from .query import MAX_ITERATIONS, parse_query, scale_query
@@ -155,9 +156,12 @@ _CELL = 40  # SVG user units per time/distance unit
 
 
 def _num(x) -> str:
-    if isinstance(x, Fraction) and x.denominator != 1:
-        return f"{float(x):g}"
-    return str(int(x))
+    """x as an SVG number: an integer in full, else rounded to six places, never via float."""
+    if iv.is_integral(x):
+        return iv.format_number(int(x))
+    whole, part = divmod(abs(round(x * 10**6)), 10**6)
+    sign = "-" if x < 0 and (whole or part) else ""
+    return f"{sign}{iv.format_number(whole)}.{part:06d}".rstrip("0").rstrip(".")
 
 
 def _rect(x0, y0, x1, y1, cls) -> str:
@@ -332,7 +336,7 @@ def _build_parser() -> _Parser:
 
     p_eval = sub.add_parser("eval", help="evaluate a query")
     common(p_eval)
-    p_eval.add_argument("--repr", required=True, choices=("point", "t", "d", "td", "c"))
+    p_eval.add_argument("--repr", required=True, choices=KINDS)
     p_eval.add_argument("--coalesce", action="store_true",
                         help="coalesce the answer set (repr t or d)")
     p_eval.add_argument("--minimize", choices=("exact", "greedy"), default=None)
@@ -352,7 +356,7 @@ def _build_parser() -> _Parser:
 
     p_plot = sub.add_parser("plot", help="SVG rendering of one pair's answer region")
     common(p_plot)
-    p_plot.add_argument("--repr", required=True, choices=("point", "t", "d", "td", "c"))
+    p_plot.add_argument("--repr", required=True, choices=KINDS)
     p_plot.add_argument("--pair", required=True, nargs=2, metavar=("N1", "N2"))
     p_plot.add_argument("--coalesce", action="store_true")
     p_plot.add_argument("--minimize", choices=("exact", "greedy"), default=None)

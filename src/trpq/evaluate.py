@@ -19,20 +19,22 @@ bucketing each right operand by source node, and repetition iterates join
 rounds semi-naively until a round adds nothing, with a round cap against
 non-terminating dense closures.  Each representation supplies ``_Rules``,
 naming only what differs from the defaults: ``nav(G, delta)`` evaluates
-temporal navigation once for all nodes, as a tuple constructor and the
-node-independent fields that the recursion copies to every node;
-``join(u1, u2)`` composes two tuples into zero or more; ``flat(n1, n2, tau)``
-builds the zero-distance, uncropped tuple of labels, inverses, node filters,
-negation gaps and repetition identities (by default delta is [0, 0]);
-``reach(u1)`` bounds the times at which u1 can arrive (by default the hull
-of tau + delta), so that a join probes only the tuples of its bucket whose
-time interval can meet them.  U^t joins with ``_join_fixed``, the hop of
-fixed length that U^d's join takes when delta is one point; U^td navigates
-as U^d does.  Over dense time U^d has no ``reach``: its join can fail on a
-pair before testing whether the pair meets, so it probes every pair, walking
-the left operands in canonical order so that an error always cites the same
-interval.  U^d alone adds ``nav_join``, a join with a trailing navigation
-fused into a unary rule so that navigation is never materialised on its own.
+temporal navigation once, as tuples with placeholder nodes that the
+recursion gives each node n as (n, n); ``join(u1, u2)`` composes two tuples
+into zero or more; ``flat(n1, n2, tau)`` builds the zero-distance, uncropped
+tuple of labels, inverses, node filters, negation gaps and repetition
+identities (by default delta is [0, 0]); ``reach(u1)`` bounds the times at
+which u1 can arrive (by default the hull of tau + delta), so that a join
+probes only the tuples of its bucket whose time interval can meet them.
+Over dense time U^d has no ``reach``: its join can fail on a pair before
+testing whether the pair meets, so it probes every pair, in canonical order
+so that an error always cites the same interval.  U^d alone adds
+``nav_join``, a join with a trailing navigation fused into a unary rule.
+
+Navigation composes (domain, delta) with the domain rectangle: U^c with
+``join_c``, U^t with ``_join_fixed`` once per distance, U^d and U^td with
+``_per_point``, which composes at each given departure time and is also the
+U^td join and the U^d join for a delta wider than one point.
 
 Two kinds of work are shared, each for no longer than it is needed.  Within
 one evaluation every distinct leaf subquery (label, node predicate, time
@@ -209,8 +211,7 @@ def _leaf(G, q, rules: _Rules) -> set:
     # temporal navigation
     if not nodes:
         return set()  # no node to navigate from, so no dense-time error either
-    make, shapes = rules.nav(G, q.delta)
-    return {make(n, n, *shape) for shape in shapes for n in nodes}
+    return {type(u)(n, n, *u[2:]) for u in rules.nav(G, q.delta) for n in nodes}
 
 
 def _buckets(B) -> dict:
@@ -333,18 +334,19 @@ def eval_t(G: TemporalGraph, q: q_.Trpq, *, max_iterations: int = MAX_ITERATIONS
     return AnswerSet("t", G.mode, (TTuple(u.n1, u.n2, u.tau, u.delta.lo) for u in rects))
 
 
-def _nav_t(G, delta: Interval):
-    """One rectangle (domain n (domain - d), [d, d]) per distance d in delta n (domain - domain).
+def _nav_t(G, delta: Interval) -> list[TDTuple]:
+    """Per distance d in delta n (domain - domain), (domain, [d, d]) joined with the domain.
 
     Over discrete time those are integer points; over dense time delta is one
     point, checked up front.
     """
-    domain = G.domain
-    spans = iv.intersect(delta, iv.mdiff(domain, domain))
+    spans = iv.intersect(delta, iv.mdiff(G.domain, G.domain))
     if spans is None:
-        return TDTuple, ()
+        return []
     distances = iv.iter_points(spans) if G.discrete else (spans.lo,)
-    return TDTuple, [(iv.intersect(domain, iv.shift(domain, -d)), iv.point(d)) for d in distances]
+    domain = _flat_td("", "", G.domain)
+    navs = (TDTuple("", "", G.domain, iv.point(d)) for d in distances)
+    return [u for nav in navs for u in _join_fixed(nav, domain)]
 
 
 def _join_fixed(u1: TDTuple, u2: TDTuple) -> tuple[TDTuple, ...]:
@@ -395,51 +397,53 @@ def _expand_times(tau: Interval, discrete: bool):
     )
 
 
-def _nav_d(G, delta: Interval):
-    """One rectangle ([t, t], the distances delta allows from t) per time point t."""
-    shapes = []
-    for t in _expand_times(G.domain, G.discrete):
-        landing = iv.intersect(iv.shift(delta, t), G.domain)
-        if landing is not None:
-            shapes.append((iv.point(t), iv.shift(landing, -t)))
-    return TDTuple, shapes
+def _per_point(u1: TDTuple, u2: TDTuple, times: Iterable[Number]) -> tuple[TDTuple, ...]:
+    """u1 composed with u2 at each departure time t of ``times``.
+
+    One rectangle ([t, t], (tau2 n (t + delta1)) - t + delta2) per t whose
+    arrivals meet tau2; the only rule that expands a rectangle per time point.
+    """
+    out = []
+    for t in times:
+        arrivals = iv.intersect(u2.tau, iv.shift(u1.delta, t))
+        if arrivals is not None:
+            out.append(
+                TDTuple(u1.n1, u2.n2, iv.point(t), iv.msum(iv.shift(arrivals, -t), u2.delta))
+            )
+    return tuple(out)
+
+
+def _nav_d(G, delta: Interval) -> tuple[TDTuple, ...]:
+    """(domain, delta) composed with the domain at each of its time points."""
+    nav, domain = TDTuple("", "", G.domain, delta), _flat_td("", "", G.domain)
+    return _per_point(nav, domain, _expand_times(G.domain, G.discrete))
 
 
 def _join_d(discrete: bool, u1: TDTuple, u2: TDTuple) -> tuple[TDTuple, ...]:
     if u1.delta.is_singleton:
         return _join_fixed(u1, u2)
-    out = []
-    for t1 in _expand_times(u1.tau, discrete):
-        arrivals = iv.intersect(u2.tau, iv.shift(u1.delta, t1))
-        if arrivals is None:
-            continue
-        out.append(
-            TDTuple(u1.n1, u2.n2, iv.point(t1), iv.msum(iv.shift(arrivals, -t1), u2.delta))
-        )
-    return tuple(out)
+    return _per_point(u1, u2, _expand_times(u1.tau, discrete))
 
 
 def _nav_join_d(groups, delta: Interval, G) -> set:
     """The unary rule for a join whose right operand is temporal navigation.
 
-    Distances extend by the navigation interval, and arrivals clip to the
-    effective domain; when nothing would be clipped the whole group survives.
-    Groups ending at a node absent from the graph have no navigation partner.
+    Distances extend by the navigation interval.  A group whose arrivals stay
+    in the domain survives whole; any other is composed with the domain per
+    time point.  Groups ending at a node absent from the graph have no
+    navigation partner.
     """
     nodes = graph_nodes(G)
     out = set()
     for g in groups if G.discrete else sorted(groups, key=tuple_sort_key):
         if g.n2 not in nodes:
             continue
-        extended = iv.msum(g.delta, delta)
-        if iv.covers(G.domain, iv.msum(g.tau, extended)):
-            out.add(TDTuple(g.n1, g.n2, g.tau, extended))
-            continue
-        for t in _expand_times(g.tau, G.discrete):
-            arrivals = iv.intersect(iv.shift(extended, t), G.domain)
-            if arrivals is None:
-                continue
-            out.add(TDTuple(g.n1, g.n2, iv.point(t), iv.shift(arrivals, -t)))
+        extended = TDTuple(g.n1, g.n2, g.tau, iv.msum(g.delta, delta))
+        if iv.covers(G.domain, iv.msum(g.tau, extended.delta)):
+            out.add(extended)
+        else:
+            domain = _flat_td(g.n2, g.n2, G.domain)
+            out.update(_per_point(extended, domain, _expand_times(g.tau, G.discrete)))
     return out
 
 
@@ -465,16 +469,9 @@ def join_td(u1: TDTuple, u2: TDTuple) -> tuple[TDTuple, ...]:
     arrivals = iv.intersect(iv.msum(u1.tau, u1.delta), u2.tau)
     if arrivals is None:
         return ()
-    # arrivals lie within tau1 + delta1, so the window and each slice are nonempty
+    # arrivals lie within tau1 + delta1: the window is nonempty, each departure lands
     window = iv.intersect(iv.mdiff(arrivals, u1.delta), u1.tau)
-    b = arrivals.lo - u1.delta.lo
-    e = arrivals.hi - u1.delta.hi
-    out = []
-    for t in iv.iter_points(window):
-        lo = u1.delta.lo + max(0, b - t)
-        hi = u1.delta.hi - max(0, t - e)
-        out.append(TDTuple(u1.n1, u2.n2, iv.point(t), iv.msum(Interval(lo, hi), u2.delta)))
-    return tuple(out)
+    return _per_point(u1, u2, iv.iter_points(window))
 
 
 def eval_td(G: TemporalGraph, q: q_.Trpq, *, max_iterations: int = MAX_ITERATIONS) -> AnswerSet:
@@ -566,9 +563,8 @@ def _join_c(u1: CTuple, u2: CTuple) -> tuple[CTuple, ...]:
     return () if joined is None else (joined,)
 
 
-def _nav_c(G, delta: Interval):
-    joined = _join_c(_uncropped("", "", G.domain, delta), _uncropped("", "", G.domain))
-    return CTuple, [(u.tau, u.delta, u.b, u.e) for u in joined]
+def _nav_c(G, delta: Interval) -> tuple[CTuple, ...]:
+    return _join_c(_uncropped("", "", G.domain, delta), _uncropped("", "", G.domain))
 
 
 _C_RULES = _Rules(_nav_c, _join_c, flat=_uncropped)

@@ -20,9 +20,7 @@ DENSE = "dense"
 Triple = tuple[str, str, str]
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_INTERVAL_TOKEN_RE = re.compile(
-    rf"[\[(]\s*-?{iv.NUMBER_PATTERN}\s*,\s*-?{iv.NUMBER_PATTERN}\s*[\])]"
-)
+_INTERVAL_TOKEN_RE = re.compile(iv.INTERVAL_PATTERN)
 
 
 @dataclass(frozen=True, eq=False)

@@ -29,9 +29,9 @@ Number = int | Fraction
 
 # an unsigned number literal as parse_number reads it: integer, p/q or decimal
 NUMBER_PATTERN = r"\d+(?:/\d+|\.\d+)?"
-_INTERVAL_RE = re.compile(
-    rf"\s*([\[(])\s*(-?{NUMBER_PATTERN})\s*,\s*(-?{NUMBER_PATTERN})\s*([\])])\s*"
-)
+# an interval literal; its groups are the two delimiters and the two bounds
+INTERVAL_PATTERN = rf"([\[(])\s*(-?{NUMBER_PATTERN})\s*,\s*(-?{NUMBER_PATTERN})\s*([\])])"
+_INTERVAL_RE = re.compile(rf"\s*{INTERVAL_PATTERN}\s*")
 
 
 def parse_number(text: str) -> Number:

@@ -274,6 +274,38 @@ def test_plot_dense_c_polygon(workdir, capsys):
     assert "<polygon" in out
 
 
+def _plot_e(tmp_path, capsys, mode, domain, validity):
+    path = tmp_path / "plot.tg"
+    path.write_text(f"mode {mode}\ndomain {domain}\na e b {validity}\n", encoding="utf-8")
+    return run(capsys, "plot", "--graph", path, "--query", "e", "--repr", "c", "--pair", "a", "b")
+
+
+def test_plot_prints_large_fractional_coordinates_in_full(tmp_path, capsys):
+    # 40 units per time unit: tau = [100000/3, 100001/3] spans 53.3 units
+    code, out, _ = _plot_e(tmp_path, capsys, "dense", "[0,1000000]", "[100000/3,100001/3]")
+    assert code == 0
+    assert (
+        '<polygon class="box" points="1333333.333333,0 1333346.666667,0 '
+        '1333346.666667,0 1333333.333333,0"/>'
+    ) in out
+
+
+def test_plot_prints_fractional_coordinates_beyond_float_range(tmp_path, capsys):
+    big = 10**400
+    code, out, _ = _plot_e(tmp_path, capsys, "dense", f"[0,{big}]", f"[{big}/3,{big}/3]")
+    assert code == 0
+    x = f"{40 * big // 3}.333333"
+    assert f'<polygon class="box" points="{x},0 {x},0 {x},0 {x},0"/>' in out
+
+
+def test_plot_coordinate_too_long_to_print_exits_1(tmp_path, capsys):
+    # the domain end is readable; forty times it is one digit too long to print
+    code, out, err = _plot_e(tmp_path, capsys, "discrete", f"[0,{'9' * 4299}]", "[0,1]")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "digits" in err
+
+
 def test_plot_out_file(workdir, capsys):
     target = workdir / "plot.svg"
     code, out, _ = run(

@@ -291,6 +291,141 @@ def test_join_td_matches_the_checked_reference():
     assert 50_000 < chained < 150_000
 
 
+# --- per-point composition ----------------------------------------------------
+#
+# join_td, _join_d, _nav_d and _nav_join_d as they stood with a per-time-point
+# loop each, kept verbatim (but for module prefixes) to check the ones that
+# compose through _per_point
+
+
+def _sliced_join_td(u1, u2):
+    if u1.n2 != u2.n1:
+        return ()
+    for interval in (u1.tau, u1.delta, u2.tau, u2.delta):
+        if not iv.is_discrete_canonical(interval):
+            raise DenseInfeasibleError(
+                "dense time: the U^td join expands per time point and is not finite"
+            )
+    arrivals = iv.intersect(iv.msum(u1.tau, u1.delta), u2.tau)
+    if arrivals is None:
+        return ()
+    # arrivals lie within tau1 + delta1, so the window and each slice are nonempty
+    window = iv.intersect(iv.mdiff(arrivals, u1.delta), u1.tau)
+    b = arrivals.lo - u1.delta.lo
+    e = arrivals.hi - u1.delta.hi
+    out = []
+    for t in iv.iter_points(window):
+        lo = u1.delta.lo + max(0, b - t)
+        hi = u1.delta.hi - max(0, t - e)
+        out.append(TDTuple(u1.n1, u2.n2, iv.point(t), iv.msum(iv.Interval(lo, hi), u2.delta)))
+    return tuple(out)
+
+
+def _looped_join_d(discrete, u1, u2):
+    if u1.delta.is_singleton:
+        return ev._join_fixed(u1, u2)
+    out = []
+    for t1 in ev._expand_times(u1.tau, discrete):
+        arrivals = iv.intersect(u2.tau, iv.shift(u1.delta, t1))
+        if arrivals is None:
+            continue
+        out.append(
+            TDTuple(u1.n1, u2.n2, iv.point(t1), iv.msum(iv.shift(arrivals, -t1), u2.delta))
+        )
+    return tuple(out)
+
+
+def _looped_nav_d(G, delta):
+    shapes = []
+    for t in ev._expand_times(G.domain, G.discrete):
+        landing = iv.intersect(iv.shift(delta, t), G.domain)
+        if landing is not None:
+            shapes.append((iv.point(t), iv.shift(landing, -t)))
+    return TDTuple, shapes
+
+
+def _looped_nav_join_d(groups, delta, G):
+    nodes = graph_nodes(G)
+    out = set()
+    for g in groups if G.discrete else sorted(groups, key=ev.tuple_sort_key):
+        if g.n2 not in nodes:
+            continue
+        extended = iv.msum(g.delta, delta)
+        if iv.covers(G.domain, iv.msum(g.tau, extended)):
+            out.add(TDTuple(g.n1, g.n2, g.tau, extended))
+            continue
+        for t in ev._expand_times(g.tau, G.discrete):
+            arrivals = iv.intersect(iv.shift(extended, t), G.domain)
+            if arrivals is None:
+                continue
+            out.add(TDTuple(g.n1, g.n2, iv.point(t), iv.shift(arrivals, -t)))
+    return out
+
+
+def _dense_outcome(f, *args):
+    try:
+        return f(*args)
+    except DenseInfeasibleError as exc:
+        return str(exc)
+
+
+def test_per_point_joins_match_their_looped_references():
+    rng = random.Random(11)
+    shapes = [C(a, a + w) for a in range(-6, 7) for w in range(5)]
+    chained = 0
+    for _ in range(20_000):
+        u1 = TDTuple("a", "b", rng.choice(shapes), rng.choice(shapes))
+        u2 = TDTuple("b" if rng.random() < 0.95 else "x", "c", rng.choice(shapes),
+                     rng.choice(shapes))
+        got = join_td(u1, u2)
+        assert got == _sliced_join_td(u1, u2), (u1, u2)
+        assert ev._join_d(True, u1, u2) == _looped_join_d(True, u1, u2), (u1, u2)
+        chained += bool(got)
+    assert 5_000 < chained < 15_000
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["discrete", "dense"])
+def test_nav_d_matches_its_looped_reference(dense):
+    rng = random.Random(f"nav-{dense}")
+    outcomes = Counter()
+    for _ in range(1_000):
+        lo = rng.randint(-6, 0)
+        G = graph("dense" if dense else "discrete", _random_span(rng, dense, lo, lo + 6))
+        delta = _random_span(rng, dense, -8, 8)
+        expected = _dense_outcome(_looped_nav_d, G, delta)
+        if not isinstance(expected, str):
+            constructor, shapes = expected
+            expected = tuple(constructor("", "", *shape) for shape in shapes)
+        assert _dense_outcome(ev._nav_d, G, delta) == expected, (G.domain, delta)
+        outcomes[expected if isinstance(expected, str) else bool(expected)] += 1
+    errors = sum(isinstance(k, str) for k in outcomes)  # distinct error texts
+    assert outcomes[True] > (20 if dense else 200)
+    assert errors > 100 if dense else errors == 0
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["discrete", "dense"])
+def test_nav_join_d_matches_its_looped_reference(dense):
+    rng = random.Random(f"nav-join-{dense}")
+    outcomes = Counter()
+    for _ in range(1_000):
+        domain = _random_span(rng, dense, -4, 4)
+        G = graph("dense" if dense else "discrete", domain, ("a", "e", "b", [domain]))
+        groups = set()
+        for _group in range(rng.randint(1, 6)):
+            tau = _random_span(rng, dense, -4, 4)
+            if dense and rng.random() < 0.5:
+                tau = iv.point(tau.lo)
+            groups.add(TDTuple(rng.choice("ab"), rng.choice("abc"), tau,
+                               _random_span(rng, dense, -3, 3)))
+        delta = _random_span(rng, dense, -4, 4)
+        expected = _dense_outcome(_looped_nav_join_d, groups, delta, G)
+        assert _dense_outcome(ev._nav_join_d, groups, delta, G) == expected, (groups, delta)
+        outcomes[expected if isinstance(expected, str) else bool(expected)] += 1
+    errors = sum(isinstance(k, str) for k in outcomes)  # distinct error texts
+    assert outcomes[True] > (100 if dense else 500)
+    assert errors > 100 if dense else errors == 0
+
+
 # --- U^td ---------------------------------------------------------------------
 
 
@@ -333,8 +468,7 @@ def test_eval_td_navigation_is_the_join_of_navigation_with_the_domain(lo, width)
         for b in range(a, width + 3):
             delta = C(a, b)
             joined = join_td(TDTuple("", "", G.domain, delta), TDTuple("", "", G.domain, C(0, 0)))
-            make, shapes = ev._nav_d(G, delta)
-            assert {make("", "", *shape) for shape in shapes} == set(joined), delta
+            assert set(ev._nav_d(G, delta)) == set(joined), delta
 
 
 # --- join_c -------------------------------------------------------------------
