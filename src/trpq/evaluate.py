@@ -8,7 +8,8 @@ tuples whose unfolding is exactly the direct answer set:
 * ``eval_d``  in U^d  (over dense time, feasible only when no step needs to
   enumerate the points of a non-singleton interval);
 * ``eval_td`` in U^td (discrete time only: its join expands per time point);
-* ``eval_c``  in U^c  (both modes; the representation closed under join).
+* ``eval_c``  in U^c  (both modes; the representation closed under join;
+  over dense time it runs on a common integer grid, see ``eval_c``).
 
 All four share one recursion, ``_evaluate``, on two tuple shapes: cropped
 rectangles in U^c, plain rectangles (``TDTuple``) in the others.  A U^t
@@ -48,14 +49,16 @@ every join actually made still checks its operands and its result.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
+from fractions import Fraction
 from functools import partial
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from . import intervals as iv
 from . import query as q_
 from .errors import DenseInfeasibleError, FixpointLimitError, InvalidTupleError
-from .graph import TemporalGraph, graph_nodes
+from .graph import TemporalGraph, _on_grid, graph_nodes
 from .intervals import Interval, Number
 from .query import MAX_ITERATIONS
 from .tuples import (
@@ -547,9 +550,56 @@ def join_c(u1: CTuple, u2: CTuple) -> Optional[CTuple]:
 
 
 def eval_c(G: TemporalGraph, q: q_.Trpq, *, max_iterations: int = MAX_ITERATIONS) -> AnswerSet:
-    """Inductive evaluation with cropped rectangles; finite over both modes."""
+    """Inductive evaluation with cropped rectangles; finite over both modes.
+
+    Over dense time it runs on a common integer grid.  L is the lcm of the
+    denominators of the endpoints of the domain, the facts, and the query's
+    navigation intervals and time bounds.  When L > 1, the graph and the
+    query are scaled by L, evaluated in ``int`` arithmetic, and each answer
+    is scaled back by 1/L, integral endpoints as ``int``.  Positive scaling
+    maps dense time onto itself and keeps every comparison, so the canonical
+    form of each tuple, the rounds of each closure and the answer are those
+    of evaluating G and q as they are.  G keeps its scaled copy for the next
+    query; a discrete graph, or L = 1, is evaluated as it is.
+    """
     q = q_.adapt_query(q, G.discrete)
-    return AnswerSet("c", G.mode, _evaluate(G, q, _C_RULES, max_iterations, {}))
+    grid = 1 if G.discrete else math.lcm(G._denominator, _denominator(q))
+    if grid == 1:
+        return AnswerSet("c", G.mode, _evaluate(G, q, _C_RULES, max_iterations, {}))
+    scaled = _evaluate(_on_grid(G, grid), q_.scale_query(q, grid), _C_RULES, max_iterations, {})
+    return AnswerSet("c", G.mode, _scale_back(scaled, grid))
+
+
+def _denominator(q: q_.Trpq) -> int:
+    """The lcm of the denominators of q's navigation endpoints and time bounds."""
+    found, stack = {1}, [q]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, q_.TimeNav):
+            found.update((node.delta.lo.denominator, node.delta.hi.denominator))
+        elif isinstance(node, q_.LeqTime):
+            found.add(node.bound.denominator)
+        else:
+            stack.extend(q_.children(node))
+    return math.lcm(*found)
+
+
+def _scale_back(answers, grid: int) -> list[CTuple]:
+    """The answers with every time value divided by ``grid``, each distinct value once."""
+    back = Fraction(1, grid)
+    values: dict = {}  # a number or an interval on the grid -> the same scaled back
+
+    def scaled(x):
+        y = values.get(x)
+        if y is None:
+            scale = iv.scale if isinstance(x, Interval) else iv._scale_number
+            y = values[x] = scale(x, back)
+        return y
+
+    return [
+        CTuple(u.n1, u.n2, scaled(u.tau), scaled(u.delta), scaled(u.b), scaled(u.e))
+        for u in answers
+    ]
 
 
 def _uncropped(n1: str, n2: str, tau: Interval, delta: Interval = _ZERO) -> CTuple:

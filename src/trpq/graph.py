@@ -7,6 +7,7 @@ file format is line-oriented UTF-8; see :func:`load_graph`.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -28,7 +29,10 @@ class TemporalGraph:
     """A temporal graph; its facts must not change after construction.
 
     The nodes and a label index are derived from the facts once, here, so
-    that evaluation never rescans them.
+    that evaluation never rescans them.  So is, over dense time, the lcm of
+    the denominators of all its endpoints: the graph's share of the integer
+    grid that ``eval_c`` evaluates on.  ``_grids`` keeps the graph scaled
+    onto each grid it was evaluated on.
     """
 
     mode: str
@@ -37,6 +41,8 @@ class TemporalGraph:
     nodes: tuple[str, ...] = field(init=False, repr=False)  # sorted
     _node_set: frozenset[str] = field(init=False, repr=False)
     _by_label: dict[str, tuple] = field(init=False, repr=False)
+    _denominator: int = field(init=False, repr=False, compare=False)
+    _grids: dict[int, "TemporalGraph"] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         by_label: dict[str, list] = {}
@@ -46,6 +52,12 @@ class TemporalGraph:
         object.__setattr__(self, "nodes", tuple(sorted(node_set)))
         object.__setattr__(self, "_node_set", node_set)
         object.__setattr__(self, "_by_label", {p: tuple(v) for p, v in by_label.items()})
+        denominators = {1}
+        if not self.discrete:
+            intervals = (self.domain, *(i for validity in self.facts.values() for i in validity))
+            denominators = {x.denominator for i in intervals for x in (i.lo, i.hi)}
+        object.__setattr__(self, "_denominator", math.lcm(*denominators))
+        object.__setattr__(self, "_grids", {})
 
     @property
     def discrete(self) -> bool:
@@ -57,6 +69,14 @@ class TemporalGraph:
     def triples_with_label(self, label: str) -> tuple[tuple[str, str, tuple[Interval, ...]], ...]:
         """The (subject, object, validity) of every fact with this label, in fact order."""
         return self._by_label.get(label, ())
+
+
+def _on_grid(g: TemporalGraph, factor: int) -> TemporalGraph:
+    """``scale_graph(g, factor, include_domain=True)``, built once per graph and factor."""
+    scaled = g._grids.get(factor)
+    if scaled is None:
+        scaled = g._grids[factor] = scale_graph(g, factor, include_domain=True)
+    return scaled
 
 
 def graph_nodes(g: TemporalGraph) -> frozenset[str]:
@@ -81,8 +101,10 @@ def _parse_intervals(rest: str, line_no: int, offset: int) -> list[Interval]:
                 line=line_no,
                 column=offset + cursor + 1,
             )
+        left, lo, hi, right = m.groups()  # read off the match, not parsed again
         try:
-            found.append(iv.parse_interval(m.group(0)))
+            lo, hi = iv.parse_number(lo), iv.parse_number(hi)
+            found.append(Interval(lo, hi, left == "[", right == "]"))
         except TrpqError as exc:
             raise GraphParseError(str(exc), line=line_no, column=offset + m.start() + 1) from None
         cursor = m.end()

@@ -6,6 +6,9 @@ arithmetic in tests and golden values stays exact).  An :class:`Interval` is
 bounded, nonempty and delimiter-aware.  Discrete-time callers normalise to
 closed integer bounds with :func:`normalize_discrete`; over the integers every
 nonempty interval has that form, which makes equality and coalescing canonical.
+:func:`scale` multiplies by a positive factor and returns an integral endpoint
+as an ``int``; ``eval_c`` uses it to move a dense evaluation onto a common
+integer grid and back, so that ``int`` arithmetic replaces ``Fraction``.
 
 >>> msum(closed(100, 101), closed(3, 5))
 Interval(103, 106)
@@ -161,8 +164,19 @@ def shift(iv: Interval, d: Number) -> Interval:
 
 
 def scale(iv: Interval, factor: Number) -> Interval:
-    """Pointwise scaling by a positive factor: {t * factor | t in iv}; delimiters preserved."""
-    return Interval(iv.lo * factor, iv.hi * factor, iv.left_closed, iv.right_closed)
+    """Pointwise scaling by a positive factor: {t * factor | t in iv}; delimiters preserved.
+
+    An integral endpoint comes out as an ``int``, never as ``Fraction(n, 1)``.
+    """
+    return Interval(
+        _scale_number(iv.lo, factor), _scale_number(iv.hi, factor), iv.left_closed, iv.right_closed
+    )
+
+
+def _scale_number(x: Number, factor: Number) -> Number:
+    """x * factor, an ``int`` when integral."""
+    y = x * factor
+    return y if isinstance(y, int) or y.denominator != 1 else y.numerator
 
 
 def msum(a: Interval, b: Interval) -> Interval:
@@ -258,11 +272,15 @@ def coalesce(items: Iterable[Interval], *, discrete: bool) -> tuple[Interval, ..
     idempotent and invariant under input order.  O(n log n).
     """
     if discrete:
-        items = [normalize_discrete(iv) for iv in items]
+        # intervals already in canonical form, as the graph loader makes them, stay as they are
+        items = [iv if is_discrete_canonical(iv) else normalize_discrete(iv) for iv in items]
     ordered = sorted(items, key=sort_key)
     out: list[Interval] = []
     for iv in ordered:
-        if out and union_is_interval(out[-1], iv, discrete=discrete):
+        # in order by lower bound, canonical integer intervals merge when they touch
+        if out and (
+            iv.lo <= out[-1].hi + 1 if discrete else union_is_interval(out[-1], iv, discrete=False)
+        ):
             out[-1] = hull(out[-1], iv)
         else:
             out.append(iv)

@@ -497,7 +497,10 @@ def _adapt_leaf(q: Trpq) -> Trpq:
 
 
 def scale_query(q: Trpq, factor: int) -> Trpq:
-    """Multiply every interval endpoint and time bound in the query by ``factor``."""
+    """Multiply every interval endpoint and time bound in the query by ``factor``.
+
+    An integral result is an ``int``, never ``Fraction(n, 1)``.
+    """
     if factor < 1:
         raise ValueError("scale factor must be a positive integer")
 
@@ -505,7 +508,7 @@ def scale_query(q: Trpq, factor: int) -> Trpq:
         if isinstance(leaf, TimeNav):
             return TimeNav(iv.scale(leaf.delta, factor))
         if isinstance(leaf, LeqTime):
-            return LeqTime(leaf.bound * factor)
+            return LeqTime(iv._scale_number(leaf.bound, factor))
         return leaf
 
     return map_leaves(q, scale_leaf)

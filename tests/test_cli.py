@@ -199,6 +199,38 @@ def test_stats_empty_factor_list(workdir, capsys):
     assert out == "factor,repr,tuple_count\n"
 
 
+@pytest.mark.parametrize("scale, query, reprs, want", [
+    ("graph", "e/T[1/2,1/2]/e + (e + f)[1,_]/T[0,1/2]/(<=7/2)", "c", ["1,c,5", "2,c,5", "3,c,4"]),
+    ("query", "e/T[1/2,1/2]/e + (e + f)[1,_]/T[0,1/2]/(<=7/2)", "c", ["1,c,5", "2,c,6", "3,c,6"]),
+    ("query", "e/T[1/2,1/2]/e + f^-/(<=5/2)", "t,c", ["1,t,2", "1,c,2", "2,t,2", "2,c,2"]),
+], ids=["graph", "query", "query-t"])
+def test_stats_on_half_and_third_step_endpoints(tmp_path, capsys, scale, query, reprs, want):
+    # counts recorded before dense c queries were evaluated on an integer grid
+    path = tmp_path / "steps.tg"
+    path.write_text(
+        "mode dense\ndomain [0,20]\na e b [1/2,3/2], [4,11/2)\nb e c (3/2,7/2]\nc f a [1/3,5/6]\n",
+        encoding="utf-8",
+    )
+    factors = ",".join(str(k) for k in range(1, len(want) // len(reprs.split(",")) + 1))
+    code, out, err = run(
+        capsys, "stats", "--graph", path, "--query", query,
+        "--scale", scale, "--factors", factors, "--reprs", reprs,
+    )
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["factor,repr,tuple_count", *want]
+
+
+def test_stats_error_cites_the_scaled_interval_in_lowest_terms(tmp_path, capsys):
+    path = tmp_path / "steps.tg"
+    path.write_text("mode dense\ndomain [0,20]\na e b [4,11/2)\n", encoding="utf-8")
+    code, out, err = run(
+        capsys, "stats", "--graph", path, "--query", "e", "--scale", "graph", "--factors", "4",
+    )
+    assert out == "factor,repr,tuple_count\n"
+    assert err == "error: scaled interval [16,22) of ('a', 'e', 'b') leaves the domain [0,20]\n"
+    assert code == 1
+
+
 def test_plot_svg_deterministic(workdir, capsys):
     args = (
         "plot", "--graph", workdir / "running.tg", "--query", workdir / "q3.trpq",

@@ -1,3 +1,4 @@
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -7,6 +8,7 @@ import pytest
 
 from trpq import (
     PointTuple,
+    bundled_graph,
     eval_c,
     eval_d,
     eval_direct,
@@ -860,6 +862,122 @@ def test_eval_c_dense_diagonal_answer_with_open_navigation():
         C(Fraction(-3, 2), 0), C(1, 4), C(1, 1), C(-4, 7), "e1/T[1,4]/e2"
     )
     assert exact == []
+
+
+# --- U^c on a common integer grid ---------------------------------------------
+
+_STEPS = {"half": (2,), "third": (3,), "mixed": (2, 3)}
+
+
+def _on_steps(rng, x, steps):
+    # x moved up by a random multiple, below 1, of 1/k for one k of the steps
+    k = rng.choice(steps)
+    j = rng.randrange(k)
+    return x + Fraction(j, k) if j else x
+
+
+def _stepped(rng, interval, steps):
+    lo, hi = _on_steps(rng, interval.lo, steps), _on_steps(rng, interval.hi, steps)
+    if lo >= hi or rng.random() < 0.15:  # singletons are closed on both sides
+        return iv.point(lo)
+    return iv.Interval(lo, hi, rng.random() < 0.5, rng.random() < 0.5)
+
+
+def _random_stepped_instance(seed, steps):
+    """A random instance made dense: endpoints off the integers, random delimiters.
+
+    Each endpoint x of the graph and of the query's navigation intervals and
+    time bounds moves up to x + j/k, 0 <= j < k, for a k drawn from
+    ``steps``.  The domain grows to hold every moved fact: its upper end is
+    one past the old one.  Some queries gain a leading (<=k).
+    """
+    G, q = random_instance(seed)
+    rng = random.Random(seed)
+    shift = _on_steps(rng, 0, steps)
+    domain = iv.Interval(
+        G.domain.lo - shift, G.domain.hi + 1, shift == 0 or rng.random() < 0.5, rng.random() < 0.5
+    )
+    facts = {
+        triple: iv.coalesce([_stepped(rng, x, steps) for x in validity], discrete=False)
+        for triple, validity in G.facts.items()
+    }
+
+    def step_leaf(leaf):
+        if isinstance(leaf, q_.TimeNav):
+            return q_.TimeNav(_stepped(rng, leaf.delta, steps))
+        if isinstance(leaf, q_.LeqTime):
+            return q_.LeqTime(_on_steps(rng, leaf.bound, steps))
+        return leaf
+
+    q = q_.map_leaves(q, step_leaf)
+    if rng.random() < 0.3:
+        q = q_.Join(q_.LeqTime(_on_steps(rng, rng.randint(G.domain.lo, G.domain.hi), steps)), q)
+    return TemporalGraph("dense", domain, facts), q
+
+
+def _c_outcome(evaluate):
+    try:
+        return evaluate()
+    except FixpointLimitError as exc:
+        return f"FixpointLimitError: {exc}"
+
+
+def _integral_as_int(u: CTuple) -> CTuple:
+    # the plain evaluation can leave Fraction(n, 1) where a sum of fractions is whole
+    def number(x):
+        return int(x) if iv.is_integral(x) else x
+
+    def interval(x):
+        return iv.Interval(number(x.lo), number(x.hi), x.left_closed, x.right_closed)
+
+    return CTuple(u.n1, u.n2, interval(u.tau), interval(u.delta), number(u.b), number(u.e))
+
+
+def _assert_grid_matches_plain(G, q, cap):
+    got = _c_outcome(lambda: eval_c(G, q, max_iterations=cap))
+    want = _c_outcome(
+        lambda: ev.AnswerSet("c", G.mode, ev._evaluate(G, q, ev._C_RULES, cap, {}))
+    )
+    assert got == want
+    if not isinstance(want, str):
+        assert got.render() == want.render()
+        assert [repr(u) for u in got] == [repr(_integral_as_int(u)) for u in want]
+
+
+@pytest.mark.parametrize("steps", _STEPS.values(), ids=_STEPS)
+def test_eval_c_on_the_integer_grid_matches_the_plain_evaluation(steps):
+    # joins, unions, closures, negation, (<=k) and navigation, with open and
+    # closed delimiters; the round cap trips at the same round on both paths
+    grids, capped = Counter(), 0
+    for seed in range(300):
+        G, q = _random_stepped_instance(seed, steps)
+        for cap in (1, 2, 25):
+            _assert_grid_matches_plain(G, q, cap)
+        capped += isinstance(_c_outcome(lambda: eval_c(G, q, max_iterations=1)), str)
+        grids.update(G._grids.keys())
+    lcm = math.lcm(*steps)
+    assert all(lcm % grid == 0 for grid in grids)
+    assert grids[lcm] > 150 and capped > 5
+
+
+@pytest.mark.parametrize("text", [
+    "attends/T[1/2,1]/attends^-", "attends/(<=207/2)", "attends[1,_]/T(1/3,1/2]"
+])
+def test_eval_c_on_an_integer_graph_with_a_fractional_query_constant(text):
+    G, q = bundled_graph("running_dense.tg"), parse_query(text)
+    _assert_grid_matches_plain(G, q, 50)
+    assert set(G._grids) == {6 if "1/3" in text else 2}
+    assert len(eval_c(G, q)) > 0
+
+
+@pytest.mark.parametrize("name", ["running.tg", "running_dense.tg"])
+def test_eval_c_builds_no_grid_for_integer_endpoints(name):
+    # the join, closure and folded workloads are discrete, so they never pay for a grid
+    G = bundled_graph(name)
+    texts = ("attends/T[0,3]/attends^-", "(attends + attends^-)[1,_]/(<=105)", "!((<=104))/attends")
+    for text in texts:
+        eval_c(G, parse_query(text))
+    assert G._grids == {}
 
 
 # --- bucket joins -------------------------------------------------------------

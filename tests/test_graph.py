@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -143,3 +144,48 @@ def test_scale_graph_rejects_escape():
     g = load_graph("mode discrete\ndomain [0,8]\na e b [0,5]\n")
     with pytest.raises(IntervalDomainError):
         scale_graph(g, 2)
+
+
+def test_scale_graph_leaves_no_fraction_with_denominator_one():
+    g = load_graph("mode dense\ndomain [0,10]\na e b [1/2,3/2], (4,11/2]\nb f a [5/2,7/2)\n")
+    scaled = scale_graph(g, 2, include_domain=True)
+    assert "Fraction(" not in repr(scaled)
+    assert scaled.val("a", "e", "b") == (iv.closed(1, 3), iv.Interval(8, 11, False, True))
+    assert all(
+        type(x) is int for validity in scaled.facts.values() for i in validity for x in (i.lo, i.hi)
+    )
+
+
+def test_load_graph_normalises_each_discrete_interval_once(monkeypatch):
+    # the loader normalises each interval for its checks; coalescing keeps them as they are
+    doc = "mode discrete\ndomain (0,20]\na e b [1,3), (2,5], [7,9]\nb e a (3,4]\na f a [1,1]\n"
+    want = load_graph(doc)
+    calls = []
+    original = iv.normalize_discrete
+
+    def counting(interval):
+        calls.append(interval)
+        return original(interval)
+
+    monkeypatch.setattr(iv, "normalize_discrete", counting)
+    got = load_graph(doc)
+    assert graphs_equal(got, want)
+    assert len(calls) == 1 + 5  # the domain and each fact interval
+    assert got.val("a", "e", "b") == (iv.closed(1, 5), iv.closed(7, 9))
+
+
+def test_load_graph_reads_each_interval_literal_once(monkeypatch):
+    calls = []
+    original = iv.parse_interval
+
+    def counting(text):
+        calls.append(text)
+        return original(text)
+
+    monkeypatch.setattr(iv, "parse_interval", counting)
+    g = load_graph("mode dense\ndomain [0,10]\na e b [1/2,3/2], (4,11/2]\n")
+    assert calls == ["[0,10]"]  # the domain header alone; facts are read off their match
+    assert g.val("a", "e", "b") == (
+        iv.closed(Fraction(1, 2), Fraction(3, 2)),
+        iv.Interval(4, Fraction(11, 2), False, True),
+    )

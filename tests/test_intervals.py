@@ -110,6 +110,14 @@ def test_shift_round_trip(a, d):
     assert iv.shift(iv.shift(a, d), -d) == a
 
 
+def test_scale_gives_int_for_integral_endpoints():
+    scaled = iv.scale(Interval(Fraction(1, 2), Fraction(5, 6), False, True), 6)
+    assert scaled == Interval(3, 5, False, True)
+    assert repr(scaled) == "Interval.parse('(3,5]')"
+    back = iv.scale(C(3, 4), Fraction(1, 2))
+    assert back == C(Fraction(3, 2), 2) and type(back.hi) is int
+
+
 # --- msum / mdiff ------------------------------------------------------------
 
 

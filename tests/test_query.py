@@ -201,6 +201,13 @@ def test_scale_query():
         scale_query(ast, 0)
 
 
+def test_scale_query_gives_int_for_integral_results():
+    scaled = scale_query(parse_query("T[1/2,3/2)/(<=5/2)"), 2)
+    assert scaled == Join(TimeNav(iv.Interval(1, 3, True, False)), LeqTime(5))
+    assert "Fraction(" not in repr(scaled)
+    assert format_query(scale_query(parse_query("(<=1/3)"), 2)) == "(<=2/3)"
+
+
 # --- nesting limit ---------------------------------------------------------------
 
 
