@@ -26,7 +26,7 @@ from .evaluate import EVALUATORS, KINDS, AnswerSet
 from .graph import TemporalGraph, graph_nodes, load_graph, scale_graph
 from .oracle import eval_direct
 from .query import MAX_ITERATIONS, parse_query, scale_query
-from .tuples import as_td, cells, render_tuple
+from .tuples import as_td, band, cells, render_tuple
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -171,8 +171,8 @@ def _rect(x0, y0, x1, y1, cls) -> str:
     )
 
 
-def _clip_band(rect_pts, low, high):
-    """Clip a polygon to low <= x + y <= high (two slope -1 half planes)."""
+def _clip_band(rect_pts, sums):
+    """Clip a polygon to lo(sums) <= x + y <= hi(sums) (two slope -1 half planes)."""
 
     def clip(points, keep, boundary):
         out = []
@@ -188,9 +188,9 @@ def _clip_band(rect_pts, low, high):
                 out.append((x1 + t * (x2 - x1), y1 + t * (y2 - y1)))
         return out
 
-    pts = clip(rect_pts, lambda p: p[0] + p[1] >= low, low)
+    pts = clip(rect_pts, lambda p: p[0] + p[1] >= sums.lo, sums.lo)
     if pts:
-        pts = clip(pts, lambda p: p[0] + p[1] <= high, high)
+        pts = clip(pts, lambda p: p[0] + p[1] <= sums.hi, sums.hi)
     return pts
 
 
@@ -245,7 +245,7 @@ def _plot_shapes(answers: AnswerSet, pair, discrete: bool) -> tuple[list[str], l
                 (u.tau.hi, u.delta.hi),
                 (u.tau.lo, u.delta.hi),
             ]
-            pts = _clip_band(rect, u.b + u.delta.lo, u.e + u.delta.hi)
+            pts = _clip_band(rect, band(u))
             if pts:
                 rendered = " ".join(f"{_num(x * _CELL)},{_num(y * _CELL)}" for x, y in pts)
                 shapes.append(f'<polygon class="box" points="{rendered}"/>')

@@ -21,6 +21,7 @@ from .tuples import (
     DTuple,
     TDTuple,
     TTuple,
+    band,
     c_covers,
     cells,
     ctuple_valid,
@@ -134,12 +135,11 @@ def _try_merge_c(a: CTuple, b: CTuple, discrete: bool) -> Optional[CTuple]:
             return merged
     if not discrete:
         return None
-    # hull of the rectangles and of the anti-diagonal bands, verified cellwise
+    # hull of the rectangles and of the bands, verified cellwise
     tau = iv.hull(a.tau, b.tau)
     delta = iv.hull(a.delta, b.delta)
-    low = min(a.b + a.delta.lo, b.b + b.delta.lo)
-    high = max(a.e + a.delta.hi, b.e + b.delta.hi)
-    merged = CTuple(a.n1, a.n2, tau, delta, low - delta.lo, high - delta.hi)
+    sums = iv.hull(band(a), band(b))
+    merged = CTuple(a.n1, a.n2, tau, delta, sums.lo - delta.lo, sums.hi - delta.hi)
     if ctuple_valid(merged) and set(cells(merged)) == {*cells(a), *cells(b)}:
         return merged
     return None

@@ -67,6 +67,7 @@ from .tuples import (
     TDTuple,
     TTuple,
     admissible_window,
+    arrival_times,
     ctuple_valid,
     render_tuple,
     tuple_sort_key,
@@ -176,7 +177,7 @@ def _evaluate(G, q, rules: _Rules, cap: int, leaves: dict) -> set:
         return set().union(*[_evaluate(G, part, rules, cap, leaves) for part in q.parts])
     if isinstance(q, q_.Repeat):
         base, buckets = _bucketed(G, q.inner, rules, cap, leaves)
-        identity = {rules.flat(n, n, G.domain) for n in G.nodes}
+        identity = {rules.flat(n, n, G.domain) for n in G.nodes} if q.m == 0 else ()
         join_base = partial(_join_sets, buckets=buckets, rules=rules)
         return _repeat_sets(base, q.m, q.n, identity, join_base, cap)
     raise TypeError(f"not a query node: {q!r}")
@@ -276,13 +277,14 @@ def _join_sets(A, buckets, rules: _Rules) -> set:
 def _repeat_sets(base, m, n, identity, join_base, cap):
     """Union of the k-fold join powers of ``base`` for m <= k (<= n).
 
-    ``join_base(A)`` joins A with ``base``.  k = 0 contributes the
-    node-identity relation.  Semi-naive iteration: only tuples new in the
-    previous round are re-joined, and a round that adds none ends the loop,
-    because no later power can add one either.  The round cap applies to
-    unbounded repetition only.
+    ``join_base(A)`` joins A with ``base``.  k = 0 contributes ``identity``,
+    the node-identity relation, which the caller builds only when m = 0.
+    Semi-naive iteration: only tuples new in the previous round are
+    re-joined, and a round that adds none ends the loop, because no later
+    power can add one either.  The round cap applies to unbounded repetition
+    only.
     """
-    out = set(identity) if m == 0 else set()
+    out = set(identity)
     start = max(m, 1)
     if n is not None and n < start:
         return out
@@ -496,14 +498,10 @@ def eval_td(G: TemporalGraph, q: q_.Trpq, *, max_iterations: int = MAX_ITERATION
 def join_c(u1: CTuple, u2: CTuple) -> Optional[CTuple]:
     """Composition of two cropped rectangles; None when they do not chain.
 
-    The arrivals of u1 are the band between its two crop lines.  The
-    earliest arrival at departure t is max(t, b1) + lo(delta1) and the latest
-    min(t, e1) + hi(delta1); over tau1 they reach b1 + lo(delta1) and
-    e1 + hi(delta1), because the canonical form (``CTuple.__new__``) keeps
-    b1 >= lo(tau1) and e1 <= hi(tau1).  The departure window is
-    (landing ominus delta1) n tau1, where the landing is the arrivals within
-    tau2; it is clipped to the times whose slice is nonempty, and the result
-    is again a valid cropped rectangle.
+    u1 lands at its arrivals (``arrival_times``) that lie within tau2.  The
+    departure window is (landing ominus delta1) n tau1; it is clipped to the
+    times whose slice is nonempty, and the result is again a valid cropped
+    rectangle.
 
     The clip never empties the window.  A landing point is t + d1 with t in
     tau1 and d1 in u1's slice at t, and u2's slice there holds some d2; the
@@ -517,20 +515,12 @@ def join_c(u1: CTuple, u2: CTuple) -> Optional[CTuple]:
             raise InvalidTupleError(f"not a valid cropped tuple: {render_tuple(u)}")
     if u1.n2 != u2.n1:
         return None
-    tau1, d1 = u1.tau, u1.delta
-    # the infimum of the arrivals is attained anywhere on the flat part of the
-    # arrival-lower-bound function, hence the b/e disjuncts in the delimiters
-    arrivals = Interval(
-        u1.b + d1.lo,
-        u1.e + d1.hi,
-        d1.left_closed and (tau1.left_closed or u1.b > tau1.lo),
-        d1.right_closed and (tau1.right_closed or u1.e < tau1.hi),
-    )
-    landing = iv.intersect(arrivals, u2.tau)
+    d1 = u1.delta
+    landing = iv.intersect(arrival_times(u1), u2.tau)
     if landing is None:
         return None
     # every landing point is t + d with t in tau1, so this is never empty
-    tau = iv.intersect(iv.mdiff(landing, d1), tau1)
+    tau = iv.intersect(iv.mdiff(landing, d1), u1.tau)
     delta = iv.msum(d1, u2.delta)
     b = max(u1.b, u2.b - d1.lo)
     e = min(u1.e, u2.e - d1.hi)

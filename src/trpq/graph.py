@@ -46,7 +46,17 @@ class TemporalGraph:
 
     def __post_init__(self):
         by_label: dict[str, list] = {}
+        discrete, domain = self.discrete, self.domain
         for (s, p, o), validity in self.facts.items():
+            for i in validity:
+                # over discrete time only the integer points of i must lie in the domain
+                if not iv.covers(domain, i) and not (
+                    discrete and iv.covers(domain, iv.normalize_discrete(i))
+                ):
+                    raise IntervalDomainError(
+                        f"interval {i} of triple ({s}, {p}, {o}) "
+                        f"is not contained in the domain {domain}"
+                    )
             by_label.setdefault(p, []).append((s, o, validity))
         node_set = frozenset(x for s, _, o in self.facts for x in (s, o))
         object.__setattr__(self, "nodes", tuple(sorted(node_set)))

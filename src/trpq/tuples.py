@@ -8,15 +8,18 @@
   time points locate the slope -1 lines that crop the rectangle's lower-left
   and upper-right corners.
 
-For a cropped tuple the admissible distances at time t are
+A cropped tuple's region is the rectangle tau x delta cut by one slab on
+t + d, its band <| b + lo(delta), e + hi(delta) |> with delta's delimiters.
+The rest is exact interval arithmetic, over dense time with any delimiters
+(``oplus``/``ominus`` are the Minkowski sum and difference, ``n`` meets):
 
-    delta_t = <| lo(delta) + max(0, b - t),  hi(delta) - max(0, t - e) |>
-
-with delta's own delimiters.  A cropped tuple is valid iff delta_t is
-nonempty for every t in tau; since the slack hi - lo is concave piecewise
-linear in t, validity reduces to an endpoint check, implemented here as
-containment of tau in the analytically derived admissible-time interval
-(which also handles open delimiters over dense time exactly).
+* the slice at t is delta_t = delta n (band - t);
+* the admissible window, the times whose slice is nonempty, is
+  band ominus delta, and the tuple is valid iff tau lies within it;
+* the arrivals, the values of t + d over the region, are band n (tau oplus delta);
+* a valid v lies within u iff each of u's three slabs holds v's projection
+  onto it: tau(u) covers tau(v), delta(u) covers
+  delta(v) n (band(v) ominus tau(v)), and band(u) covers the arrivals of v.
 """
 
 from __future__ import annotations
@@ -95,40 +98,54 @@ def _representable(delta: Interval, lo: Number, hi: Number) -> bool:
     return lo == hi and delta.left_closed and delta.right_closed
 
 
-def _lower_bound_at(c: CTuple, t: Number) -> Number:
-    return c.delta.lo + max(0, c.b - t)
+def band(c: CTuple) -> Interval:
+    """The values of t + d that c's crop lines admit, with delta's delimiters."""
+    delta = c.delta
+    return Interval(c.b + delta.lo, c.e + delta.hi, delta.left_closed, delta.right_closed)
 
 
-def _upper_bound_at(c: CTuple, t: Number) -> Number:
-    return c.delta.hi - max(0, t - c.e)
+def arrival_times(c: CTuple) -> Interval:
+    """The values of t + d over a valid c's region: band n (tau oplus delta).
+
+    Made on the endpoints, as it runs on every join: the canonical form keeps
+    lo(tau) <= b and e <= hi(tau), so tau's delimiter counts only at b = lo(tau)
+    and e = hi(tau).
+    """
+    tau, delta = c.tau, c.delta
+    return Interval(
+        c.b + delta.lo,
+        c.e + delta.hi,
+        delta.left_closed and (tau.left_closed or c.b > tau.lo),
+        delta.right_closed and (tau.right_closed or c.e < tau.hi),
+    )
 
 
 def delta_at(c: CTuple, t: Number) -> Optional[Interval]:
-    """The slice of admissible distances at time ``t``; None when empty."""
+    """The slice delta n (band - t) of distances at time ``t``; None when empty."""
     if not iv.contains(c.tau, t):
         raise ValueError(f"time point {iv.format_number(t)} lies outside {c.tau}")
-    lo, hi = _lower_bound_at(c, t), _upper_bound_at(c, t)
-    if lo > hi or (lo == hi and not (c.delta.left_closed and c.delta.right_closed)):
+    delta = c.delta
+    lo = delta.lo + max(0, c.b - t)
+    hi = delta.hi - max(0, t - c.e)
+    if not _representable(delta, lo, hi):
         return None
-    return Interval(lo, hi, c.delta.left_closed, c.delta.right_closed)
+    return Interval(lo, hi, delta.left_closed, delta.right_closed)
 
 
 def admissible_window(delta: Interval, b: Number, e: Number) -> Optional[Interval]:
-    """The interval of times t whose slice delta_t is nonempty."""
-    w = delta.hi - delta.lo
-    strict = not (delta.left_closed and delta.right_closed)
-    gap = b - e
-    if strict:
-        if w <= gap:
-            return None
-        return Interval(b - w, e + w, False, False)
-    if w < gap:
+    """band ominus delta, the times whose slice is nonempty; None when the band is empty.
+
+    Made on the endpoints, as it runs on every join: <| b - width, e + width |>.
+    """
+    if not _representable(delta, b + delta.lo, e + delta.hi):
         return None
-    return Interval(b - w, e + w, True, True)
+    w = delta.hi - delta.lo
+    closed = delta.left_closed and delta.right_closed
+    return Interval(b - w, e + w, closed, closed)
 
 
 def ctuple_valid(c: CTuple) -> bool:
-    """Endpoint check: delta_t nonempty for every t in tau.
+    """Whether every slice over tau is nonempty: tau within band ominus delta.
 
     The same test as tau lying within ``admissible_window(c.delta, c.b, c.e)``,
     made on the endpoints directly: it runs on every join, so it builds no
@@ -214,57 +231,17 @@ def td_covers(u: TDTuple, v: TDTuple) -> bool:
     )
 
 
-def _pieces(lo: Number, hi: Number, breaks: Iterable[Number]):
-    cuts = sorted({lo, hi, *(x for x in breaks if lo < x < hi)})
-    return list(zip(cuts, cuts[1:])) if len(cuts) > 1 else [(lo, hi)]
-
-
-def _dominates(diff_fn, tau: Interval, breaks, tie_ok: bool) -> bool:
-    """Check diff_fn(t) >= 0 for all t in tau, with equality allowed iff tie_ok.
-
-    diff_fn is piecewise linear with the given breakpoints, so it suffices to
-    look at the endpoints of each linear piece, minding tau's delimiters.
-    """
-    for p, q in _pieces(tau.lo, tau.hi, breaks):
-        a, b = diff_fn(p), diff_fn(q)
-        if a < 0 or b < 0:
-            return False
-        if tie_ok:
-            continue
-        if a == 0:
-            in_tau = iv.contains(tau, p)
-            if in_tau or b == 0:  # zero attained inside tau, or flat zero piece
-                return False
-        if b == 0 and iv.contains(tau, q):
-            return False
-    return True
-
-
 def c_covers(u: CTuple, v: CTuple) -> bool:
-    """True when v's induced point set is contained in u's (both assumed valid).
+    """True when v's region is contained in u's (both assumed valid).
 
-    Decided analytically: slice bounds are piecewise linear in t, so dominance
-    is checked at piece endpoints only; exact over both modes.
+    u is the intersection of its tau-, delta- and band slabs, so v lies
+    within u iff v's projection onto each of those axes lies within u's
+    slab there; exact over both modes.
     """
-    if (u.n1, u.n2) != (v.n1, v.n2):
+    if (u.n1, u.n2) != (v.n1, v.n2) or not iv.covers(u.tau, v.tau):
         return False
-    if not iv.covers(u.tau, v.tau):
-        return False
-    breaks = (u.b, u.e, v.b, v.e)
-    lower_ok = _dominates(
-        lambda t: _lower_bound_at(v, t) - _lower_bound_at(u, t),
-        v.tau,
-        breaks,
-        tie_ok=u.delta.left_closed or not v.delta.left_closed,
-    )
-    if not lower_ok:
-        return False
-    return _dominates(
-        lambda t: _upper_bound_at(u, t) - _upper_bound_at(v, t),
-        v.tau,
-        breaks,
-        tie_ok=u.delta.right_closed or not v.delta.right_closed,
-    )
+    distances = iv.intersect(v.delta, iv.mdiff(band(v), v.tau))
+    return iv.covers(u.delta, distances) and iv.covers(band(u), arrival_times(v))
 
 
 # --- rendering and ordering ---------------------------------------------------

@@ -389,3 +389,51 @@ def test_per_pair_compaction_matches_all_pairs_reference_on_eval_output():
             kept = remove_subsumed(s)
             assert kept == _reference_remove_subsumed(s)
             assert greedy_reduce(kept) == _reference_greedy_reduce(kept)
+
+
+# --- API guards ----------------------------------------------------------------
+
+
+_T_SET = aset("t", [TTuple("a", "b", C(0, 1), 0)])
+_D_SET = aset("d", [DTuple("a", "b", 0, C(0, 1))])
+
+
+@pytest.mark.parametrize("call, s, message", [
+    (coalesce_t, _D_SET, "coalesce_t expects a U^t answer set, got 'd'"),
+    (coalesce_d, _T_SET, "coalesce_d expects a U^d answer set, got 't'"),
+    (remove_subsumed, _T_SET, "subsumption is defined for U^td and U^c, got 't'"),
+    (remove_subsumed, _D_SET, "subsumption is defined for U^td and U^c, got 'd'"),
+    (greedy_reduce, _T_SET, "greedy_reduce is defined for U^td and U^c, got 't'"),
+    (greedy_reduce, _D_SET, "greedy_reduce is defined for U^td and U^c, got 'd'"),
+    (
+        lambda s: minimize_exact(s, "maximal"), _T_SET,
+        "unknown minimization mode 'maximal'",
+    ),
+    (
+        minimize_exact, aset("point", []),
+        "cannot minimize representation 'point' here; expected one of ('t', 'd', 'td', 'c')",
+    ),
+    (
+        minimum_covers, aset("td", [TDTuple("a", "b", C(0, 1), C(0, 0)),
+                                    TDTuple("a", "c", C(0, 1), C(0, 0))]),
+        "cover enumeration expects a single node pair",
+    ),
+], ids=[
+    "coalesce_t", "coalesce_d", "remove_subsumed-t", "remove_subsumed-d", "greedy_reduce-t",
+    "greedy_reduce-d", "minimize_exact-mode", "minimize_exact-kind", "minimum_covers-pairs",
+])
+def test_compaction_rejects_what_it_is_not_defined_for(call, s, message):
+    with pytest.raises(ValueError) as err:
+        call(s)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("kind", ["td", "c"])
+def test_minimum_covers_of_an_empty_set_is_the_empty_cover(kind):
+    assert minimum_covers(aset(kind, [])) == [aset(kind, [])]
+
+
+def test_answer_set_rejects_an_unknown_kind():
+    with pytest.raises(ValueError) as err:
+        AnswerSet("tc", "discrete", [])
+    assert str(err.value) == "unknown representation 'tc'"

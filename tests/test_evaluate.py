@@ -1241,6 +1241,20 @@ def test_long_bounded_repeat_makes_one_join_round(monkeypatch, running):
     assert out == short and len(out) == 8
 
 
+@pytest.mark.parametrize("query, identities", [("e[1,_]", 0), ("e[2,5]", 0), ("e[0,_]", 4)])
+def test_repeat_builds_the_node_identity_only_when_m_is_zero(query, identities):
+    flats = []
+
+    def flat(*args):
+        flats.append(args)
+        return ev._uncropped(*args)
+
+    rules = ev._C_RULES._replace(flat=flat)
+    ev._evaluate(CHAIN, parse_query(query), rules, ev.MAX_ITERATIONS, {})
+    # one flat tuple per e-fact, and one per node for the k = 0 power alone
+    assert len(flats) == len(CHAIN.facts) + identities
+
+
 @pytest.mark.parametrize("delta", ["T[1,3]", "T[-2,0]", "T[0,50]", "T[-15,-12]", "T[13,20]"])
 def test_eval_t_navigation_is_one_tuple_per_node_and_distance(running, delta):
     q = parse_query(delta)

@@ -5,7 +5,7 @@ import pytest
 
 from trpq import graph_nodes, load_graph, serialize_graph
 from trpq.errors import GraphParseError
-from trpq.graph import graphs_equal, scale_graph
+from trpq.graph import TemporalGraph, graphs_equal, scale_graph
 from trpq.errors import IntervalDomainError
 from trpq import intervals as iv
 
@@ -188,4 +188,39 @@ def test_load_graph_reads_each_interval_literal_once(monkeypatch):
     assert g.val("a", "e", "b") == (
         iv.closed(Fraction(1, 2), Fraction(3, 2)),
         iv.Interval(4, Fraction(11, 2), False, True),
+    )
+
+
+@pytest.mark.parametrize(
+    "mode, domain, fact",
+    [
+        ("dense", iv.Interval(Fraction(-1, 3), 8, False, False), iv.Interval(7, 8, False, True)),
+        ("dense", iv.Interval(-1, 8, False, False), iv.Interval(7, 8, False, True)),
+        ("discrete", iv.closed(0, 5), iv.closed(4, 9)),
+    ],
+    ids=["dense-thirds", "dense-integers", "discrete"],
+)
+def test_graph_built_through_the_api_rejects_a_fact_outside_its_domain(mode, domain, fact):
+    with pytest.raises(IntervalDomainError) as err:
+        TemporalGraph(mode, domain, {("A", "e", "B"): (fact,)})
+    assert str(err.value) == (
+        f"interval {fact} of triple (A, e, B) is not contained in the domain {domain}"
+    )
+
+
+def test_graph_built_through_the_api_checks_the_integer_points_of_a_discrete_fact():
+    # (-1,11/2) holds the integers 0..5, all in [0,5]: over discrete time it fits
+    fact = iv.Interval(-1, Fraction(11, 2), False, False)
+    g = TemporalGraph("discrete", iv.closed(0, 5), {("A", "e", "B"): (fact,)})
+    assert g.val("A", "e", "B") == (fact,)
+    with pytest.raises(IntervalDomainError, match=r"interval \[0,6\] of triple \(A, e, B\)"):
+        TemporalGraph("discrete", iv.closed(0, 5), {("A", "e", "B"): (iv.closed(0, 6),)})
+
+
+def test_load_graph_reports_a_fact_outside_the_domain_by_line():
+    # the loader's own check comes first, with the line number
+    with pytest.raises(GraphParseError) as err:
+        load_graph("mode discrete\ndomain [0,5]\nA e B [4,9]\n")
+    assert str(err.value) == (
+        "interval [4,9] of triple (A, e, B) is not contained in the domain [0,5] (line 3)"
     )

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from trpq import eval_direct
 from trpq import intervals as iv
-from trpq.errors import DenseInfeasibleError
+from trpq.errors import DenseInfeasibleError, EmptyIntervalError
 from trpq.intervals import Interval
 from trpq.oracle import PointTuple
 from trpq.tuples import (
@@ -19,7 +19,10 @@ from trpq.tuples import (
     as_ctuple,
     as_td,
     admissible_window,
+    arrival_times,
+    band,
     c_covers,
+    cells,
     ctuple_valid,
     delta_at,
     render_tuple,
@@ -359,6 +362,165 @@ def test_c_covers_dense_grid_sampled():
         # converse holds for quarter-step inputs too
         assert claim == sampled
 
+
+# The piecewise-linear dominance check c_covers made before it became three
+# slab containments, kept verbatim (bar the name) as the reference for it.
+
+
+def _lower_bound_at(c, t):
+    return c.delta.lo + max(0, c.b - t)
+
+
+def _upper_bound_at(c, t):
+    return c.delta.hi - max(0, t - c.e)
+
+
+def _pieces(lo, hi, breaks):
+    cuts = sorted({lo, hi, *(x for x in breaks if lo < x < hi)})
+    return list(zip(cuts, cuts[1:])) if len(cuts) > 1 else [(lo, hi)]
+
+
+def _dominates(diff_fn, tau, breaks, tie_ok: bool) -> bool:
+    """Check diff_fn(t) >= 0 for all t in tau, with equality allowed iff tie_ok.
+
+    diff_fn is piecewise linear with the given breakpoints, so it suffices to
+    look at the endpoints of each linear piece, minding tau's delimiters.
+    """
+    for p, q in _pieces(tau.lo, tau.hi, breaks):
+        a, b = diff_fn(p), diff_fn(q)
+        if a < 0 or b < 0:
+            return False
+        if tie_ok:
+            continue
+        if a == 0:
+            in_tau = iv.contains(tau, p)
+            if in_tau or b == 0:  # zero attained inside tau, or flat zero piece
+                return False
+        if b == 0 and iv.contains(tau, q):
+            return False
+    return True
+
+
+def _reference_c_covers(u, v) -> bool:
+    """True when v's induced point set is contained in u's (both assumed valid).
+
+    Decided analytically: slice bounds are piecewise linear in t, so dominance
+    is checked at piece endpoints only; exact over both modes.
+    """
+    if (u.n1, u.n2) != (v.n1, v.n2):
+        return False
+    if not iv.covers(u.tau, v.tau):
+        return False
+    breaks = (u.b, u.e, v.b, v.e)
+    lower_ok = _dominates(
+        lambda t: _lower_bound_at(v, t) - _lower_bound_at(u, t),
+        v.tau,
+        breaks,
+        tie_ok=u.delta.left_closed or not v.delta.left_closed,
+    )
+    if not lower_ok:
+        return False
+    return _dominates(
+        lambda t: _upper_bound_at(u, t) - _upper_bound_at(v, t),
+        v.tau,
+        breaks,
+        tie_ok=u.delta.right_closed or not v.delta.right_closed,
+    )
+
+
+_INTEGERS = list(range(-6, 7))
+# the half-step lattice scaled by 2: the same shapes in int arithmetic
+_DOUBLED_HALF_STEPS = [int(2 * x) for x in HALF_STEPS]
+
+
+def _random_valid_ctuple(rng, values):
+    """A valid cropped tuple: endpoints and crop points from ``values``.
+
+    With ``values`` None it is discrete: closed intervals of ``_INTEGERS``.
+    Otherwise each delimiter is random.
+    """
+    while True:
+        if values is None:
+            tau, delta = (C(*sorted(rng.sample(_INTEGERS, 2))) for _ in range(2))
+            b, e = rng.choice(_INTEGERS), rng.choice(_INTEGERS)
+        else:
+            tau, delta = random_mixed_interval(rng, values), random_mixed_interval(rng, values)
+            b, e = rng.choice(values), rng.choice(values)
+        c = CTuple("a", "b", tau, delta, b, e)
+        if ctuple_valid(c):
+            return c
+
+
+def _nudged(rng, c, step, flip: bool):
+    """A valid tuple near c: an endpoint or crop point moved by ``step``, or a delimiter flipped."""
+    while True:
+        fields = {"tau": list(c.tau), "delta": list(c.delta), "b": c.b, "e": c.e}
+        which = rng.choice(("tau", "delta", "b", "e"))
+        if which in ("b", "e"):
+            fields[which] += rng.choice((-step, step))
+        elif flip and rng.random() < 0.4:
+            fields[which][rng.randrange(2, 4)] ^= True
+        else:
+            fields[which][rng.randrange(2)] += rng.choice((-step, step))
+        try:
+            tau, delta = Interval(*fields["tau"]), Interval(*fields["delta"])
+        except EmptyIntervalError:
+            continue
+        near = CTuple("a", "b", tau, delta, fields["b"], fields["e"])
+        if ctuple_valid(near):
+            return near
+
+
+@pytest.mark.parametrize(
+    "values, step, rounds",
+    [
+        (HALF_STEPS, Fraction(1, 2), 10_000),
+        (_DOUBLED_HALF_STEPS, 1, 15_000),
+        (None, 1, 25_000),
+    ],
+    ids=["dense-half-steps", "dense-doubled", "discrete"],
+)
+def test_c_covers_matches_the_dominance_reference(values, step, rounds):
+    # 4 pairs a round, 200,000 over the three cases: half of them random, half
+    # a tuple against a near copy of itself, both ways round
+    rng = random.Random(f"c_covers {step} {rounds}")
+    outcomes = Counter()
+    for _ in range(rounds):
+        u, v = _random_valid_ctuple(rng, values), _random_valid_ctuple(rng, values)
+        near = _nudged(rng, u, step, flip=values is not None)
+        for x, y in ((u, v), (v, u), (u, near), (near, u)):
+            got = c_covers(x, y)
+            assert got == _reference_c_covers(x, y), (x, y)
+            outcomes[got] += 1
+    assert min(outcomes.values()) > rounds // 2, outcomes
+
+
+@pytest.mark.parametrize("values", [HALF_STEPS, None], ids=["dense", "discrete"])
+def test_slice_window_and_arrivals_are_read_off_the_band(values):
+    rng = random.Random(f"band {values is None}")
+    quarter = Fraction(1, 4)
+    for _ in range(3_000):
+        c = _random_valid_ctuple(rng, values)
+        s = band(c)
+        # the slice at t is delta n (band - t), at every quarter step of tau
+        t = c.tau.lo
+        while t <= c.tau.hi:
+            if iv.contains(c.tau, t):
+                assert delta_at(c, t) == iv.intersect(c.delta, iv.shift(s, -t)), (c, t)
+            t += quarter
+        assert admissible_window(c.delta, c.b, c.e) == iv.mdiff(s, c.delta), c
+        assert arrival_times(c) == iv.intersect(s, iv.msum(c.tau, c.delta)), c
+        if values is None:
+            sums = {t + d for t, d in cells(c)}
+            assert sums == set(iv.iter_points(arrival_times(c))), c
+        # crop points drawn freely: an empty band leaves no admissible time
+        b, e = rng.choice(_INTEGERS), rng.choice(_INTEGERS)
+        try:
+            raw = iv.Interval(b + c.delta.lo, e + c.delta.hi, *c.delta[2:])
+        except EmptyIntervalError:
+            assert admissible_window(c.delta, b, e) is None
+        else:
+            assert admissible_window(c.delta, b, e) == iv.mdiff(raw, c.delta)
 
 # --- rendering ----------------------------------------------------------------
 
