@@ -2,6 +2,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from trpq import eval_direct
 from trpq import intervals as iv
 from trpq.errors import DenseInfeasibleError, EmptyIntervalError
-from trpq.intervals import Interval
+from trpq.intervals import Interval, Number
 from trpq.oracle import PointTuple
 from trpq.tuples import (
     CTuple,
@@ -367,20 +368,20 @@ def test_c_covers_dense_grid_sampled():
 # slab containments, kept verbatim (bar the name) as the reference for it.
 
 
-def _lower_bound_at(c, t):
+def _lower_bound_at(c: CTuple, t: Number) -> Number:
     return c.delta.lo + max(0, c.b - t)
 
 
-def _upper_bound_at(c, t):
+def _upper_bound_at(c: CTuple, t: Number) -> Number:
     return c.delta.hi - max(0, t - c.e)
 
 
-def _pieces(lo, hi, breaks):
+def _pieces(lo: Number, hi: Number, breaks: Iterable[Number]):
     cuts = sorted({lo, hi, *(x for x in breaks if lo < x < hi)})
     return list(zip(cuts, cuts[1:])) if len(cuts) > 1 else [(lo, hi)]
 
 
-def _dominates(diff_fn, tau, breaks, tie_ok: bool) -> bool:
+def _dominates(diff_fn, tau: Interval, breaks, tie_ok: bool) -> bool:
     """Check diff_fn(t) >= 0 for all t in tau, with equality allowed iff tie_ok.
 
     diff_fn is piecewise linear with the given breakpoints, so it suffices to
@@ -401,7 +402,7 @@ def _dominates(diff_fn, tau, breaks, tie_ok: bool) -> bool:
     return True
 
 
-def _reference_c_covers(u, v) -> bool:
+def _reference_c_covers(u: CTuple, v: CTuple) -> bool:
     """True when v's induced point set is contained in u's (both assumed valid).
 
     Decided analytically: slice bounds are piecewise linear in t, so dominance
@@ -521,6 +522,7 @@ def test_slice_window_and_arrivals_are_read_off_the_band(values):
             assert admissible_window(c.delta, b, e) is None
         else:
             assert admissible_window(c.delta, b, e) == iv.mdiff(raw, c.delta)
+
 
 # --- rendering ----------------------------------------------------------------
 
