@@ -24,13 +24,12 @@ temporal navigation once, as tuples with placeholder nodes that the
 recursion gives each node n as (n, n); ``join(u1, u2)`` composes two tuples
 into zero or more; ``flat(n1, n2, tau)`` builds the zero-distance, uncropped
 tuple of labels, inverses, node filters, negation gaps and repetition
-identities (by default delta is [0, 0]); ``reach(u1)`` bounds the times at
-which u1 can arrive (by default the hull of tau + delta), so that a join
-probes only the tuples of its bucket whose time interval can meet them.
-Over dense time U^d has no ``reach``: its join can fail on a pair before
-testing whether the pair meets, so it probes every pair, in canonical order
-so that an error always cites the same interval.  U^d alone adds
-``nav_join``, a join with a trailing navigation fused into a unary rule.
+identities (by default delta is [0, 0]).  Every join probes only the tuples
+of its bucket whose time interval meets the hull of tau + delta, where u1
+can arrive.  U^d alone adds two rules: ``ordered``, set over dense time,
+where its join can fail, walks the pairs in canonical order, so that an
+error always cites the same interval; ``nav_join`` is a join with a
+trailing navigation fused into a unary rule.
 
 Navigation composes (domain, delta) with the domain rectangle: U^c with
 ``join_c``, U^t with ``_join_fixed`` once per distance, U^d and U^td with
@@ -52,7 +51,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from . import intervals as iv
@@ -77,11 +76,6 @@ KINDS = ("point", "t", "d", "td", "c")
 
 _ZERO = iv.point(0)
 _flat_td = partial(TDTuple, delta=_ZERO)
-
-
-def _reach_rect(u: TDTuple | CTuple) -> tuple[Number, Number]:
-    """The closed hull of tau + delta, which holds every arrival of u."""
-    return u.tau.lo + u.delta.lo, u.tau.hi + u.delta.hi
 
 
 class AnswerSet:
@@ -124,7 +118,7 @@ class _Rules(NamedTuple):
     nav: Callable
     join: Callable
     flat: Callable = _flat_td
-    reach: Optional[Callable] = _reach_rect
+    ordered: bool = False
     nav_join: Optional[Callable] = None
 
 
@@ -208,10 +202,9 @@ def _leaf(G, q, rules: _Rules) -> set:
         matching = [q.target] if q.equals else [n for n in nodes if n != q.target]
         return {rules.flat(n, n, domain) for n in matching}
     if isinstance(q, q_.LeqTime):
-        window = _leq_window(domain, q.bound)
-        if window is None:
-            return set()
-        return {rules.flat(n, n, window) for n in nodes}
+        # the part of the domain at or before the bound
+        window = iv.intersect(domain, iv.closed(min(domain.lo, q.bound), q.bound))
+        return set() if window is None else {rules.flat(n, n, window) for n in nodes}
     # temporal navigation
     if not nodes:
         return set()  # no node to navigate from, so no dense-time error either
@@ -238,30 +231,31 @@ def _join_sets(A, buckets, rules: _Rules) -> set:
     """All compositions of a tuple of A with a tuple of B that it chains into.
 
     ``buckets`` is ``_buckets(B)``.  A tuple u1 of A whose arrivals lie within
-    the closed hull [lo, hi] = ``reach(u1)`` can only chain into the tuples of
+    the closed hull [lo, hi] of tau + delta can only chain into the tuples of
     its bucket whose tau meets that hull: those with lo(tau) <= hi, which
     start no earlier than lo minus the bucket's widest tau, and with
     hi(tau) >= lo.  The rest would produce nothing, so they are not probed.
+    With ``rules.ordered`` the pairs are probed in canonical order, so that
+    the first join to fail is always the same one.
 
     The time fields of a join depend only on the operands' time fields (all
     but the two nodes), never on their nodes.  So each distinct pair of time
     shapes is joined once per call, and a later pair with the same shapes
     takes those results with its own nodes, (n1 of u1, n2 of u2).
     """
-    join, reach = rules.join, rules.reach
+    join, ordered = rules.join, rules.ordered
     joined: dict = {}  # (time shape of u1, time shape of u2) -> join results
     out = set()
-    for u1 in A if reach is not None else sorted(A, key=tuple_sort_key):
+    for u1 in sorted(A, key=tuple_sort_key) if ordered else A:
         bucket = buckets.get(u1.n2)
         if bucket is None:
             continue
         los, group, width = bucket
-        if reach is None:
-            probed = group
-        else:
-            lo, hi = reach(u1)
-            window = group[bisect_left(los, lo - width) : bisect_right(los, hi)]
-            probed = [u2 for u2 in window if u2.tau.hi >= lo]
+        lo, hi = u1.tau.lo + u1.delta.lo, u1.tau.hi + u1.delta.hi
+        window = group[bisect_left(los, lo - width) : bisect_right(los, hi)]
+        probed = [u2 for u2 in window if u2.tau.hi >= lo]
+        if ordered:
+            probed.sort(key=tuple_sort_key)
         shape = u1[2:]
         for u2 in probed:
             key = (shape, u2[2:])
@@ -306,28 +300,18 @@ def _repeat_sets(base, m, n, identity, join_base, cap):
     return out | total
 
 
-def _leq_window(domain: Interval, k: Number) -> Optional[Interval]:
-    """The part of the domain at or before k; None when there is none."""
-    if k >= domain.hi:
-        return domain
-    if k < domain.lo or (k == domain.lo and not domain.left_closed):
-        return None
-    return Interval(domain.lo, k, domain.left_closed, True)
-
-
 # --------------------------------------------------------------------------
 # U^t
 # --------------------------------------------------------------------------
 
 
 def _check_dense_t_feasible(q: q_.Trpq):
-    if isinstance(q, q_.TimeNav) and not q.delta.is_singleton:
-        raise DenseInfeasibleError(
-            "dense time: U^t requires every temporal navigation interval "
-            f"to be a singleton, got T{q.delta}"
-        )
-    for child in q_.children(q):
-        _check_dense_t_feasible(child)
+    for leaf in q_.time_leaves(q):
+        if isinstance(leaf, q_.TimeNav) and not leaf.delta.is_singleton:
+            raise DenseInfeasibleError(
+                "dense time: U^t requires every temporal navigation interval "
+                f"to be a singleton, got T{leaf.delta}"
+            )
 
 
 def eval_t(G: TemporalGraph, q: q_.Trpq, *, max_iterations: int = MAX_ITERATIONS) -> AnswerSet:
@@ -372,18 +356,18 @@ _T_RULES = _Rules(_nav_t, _join_fixed)
 #
 # A U^d group (n1, n2, tau, delta) stands for one DTuple per time point of
 # tau.  Node and edge filters give finitely many groups even over dense time;
-# a rule expands a group only where it must, which over dense time is an
-# error unless tau is one point.  There groups are expanded in canonical
-# order, so that the error always cites the same interval.
+# a rule expands a group only where it must, a join only at the departures
+# that land, which over dense time is an error unless they are one point.
+# There groups are expanded in canonical order, so that the error always
+# cites the same interval.
 
 
 def eval_d(G: TemporalGraph, q: q_.Trpq, *, max_iterations: int = MAX_ITERATIONS) -> AnswerSet:
     """Inductive evaluation folding distances: tuples (n1, n2, t, delta)."""
     q = q_.adapt_query(q, G.discrete)
-    # over discrete time no join fails, so pairs that miss the hull of
-    # tau + delta are pruned: either _join_d branch composes them to nothing
-    reach = _reach_rect if G.discrete else None
-    rules = _Rules(_nav_d, partial(_join_d, G.discrete), reach=reach, nav_join=_nav_join_d)
+    rules = _Rules(
+        _nav_d, partial(_join_d, G.discrete), ordered=not G.discrete, nav_join=_nav_join_d
+    )
     groups = _evaluate(G, q, rules, max_iterations, {})
     out = []
     for g in groups if G.discrete else sorted(groups, key=tuple_sort_key):
@@ -424,10 +408,23 @@ def _nav_d(G, delta: Interval) -> tuple[TDTuple, ...]:
     return _per_point(nav, domain, _expand_times(G.domain, G.discrete))
 
 
+def _departures(u1: TDTuple, u2: TDTuple) -> Optional[Interval]:
+    """The departures of u1 that land in tau2: (((tau1 + delta1) n tau2) - delta1) n tau1.
+
+    None when there is none.  Every arrival lies within tau1 + delta1, so a
+    nonempty landing gives a nonempty window, and every departure in it lands.
+    """
+    landing = iv.intersect(iv.msum(u1.tau, u1.delta), u2.tau)
+    if landing is None:
+        return None
+    return iv.intersect(iv.mdiff(landing, u1.delta), u1.tau)
+
+
 def _join_d(discrete: bool, u1: TDTuple, u2: TDTuple) -> tuple[TDTuple, ...]:
     if u1.delta.is_singleton:
         return _join_fixed(u1, u2)
-    return _per_point(u1, u2, _expand_times(u1.tau, discrete))
+    window = _departures(u1, u2)
+    return () if window is None else _per_point(u1, u2, _expand_times(window, discrete))
 
 
 def _nav_join_d(groups, delta: Interval, G) -> set:
@@ -471,12 +468,8 @@ def join_td(u1: TDTuple, u2: TDTuple) -> tuple[TDTuple, ...]:
             raise DenseInfeasibleError(
                 "dense time: the U^td join expands per time point and is not finite"
             )
-    arrivals = iv.intersect(iv.msum(u1.tau, u1.delta), u2.tau)
-    if arrivals is None:
-        return ()
-    # arrivals lie within tau1 + delta1: the window is nonempty, each departure lands
-    window = iv.intersect(iv.mdiff(arrivals, u1.delta), u1.tau)
-    return _per_point(u1, u2, iv.iter_points(window))
+    window = _departures(u1, u2)
+    return () if window is None else _per_point(u1, u2, iv.iter_points(window))
 
 
 def eval_td(G: TemporalGraph, q: q_.Trpq, *, max_iterations: int = MAX_ITERATIONS) -> AnswerSet:
@@ -562,34 +555,19 @@ def eval_c(G: TemporalGraph, q: q_.Trpq, *, max_iterations: int = MAX_ITERATIONS
 
 def _denominator(q: q_.Trpq) -> int:
     """The lcm of the denominators of q's navigation endpoints and time bounds."""
-    found, stack = {1}, [q]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, q_.TimeNav):
-            found.update((node.delta.lo.denominator, node.delta.hi.denominator))
-        elif isinstance(node, q_.LeqTime):
-            found.add(node.bound.denominator)
+    found = {1}
+    for leaf in q_.time_leaves(q):
+        if isinstance(leaf, q_.TimeNav):
+            found.update((leaf.delta.lo.denominator, leaf.delta.hi.denominator))
         else:
-            stack.extend(q_.children(node))
+            found.add(leaf.bound.denominator)
     return math.lcm(*found)
 
 
 def _scale_back(answers, grid: int) -> list[CTuple]:
     """The answers with every time value divided by ``grid``, each distinct value once."""
-    back = Fraction(1, grid)
-    values: dict = {}  # a number or an interval on the grid -> the same scaled back
-
-    def scaled(x):
-        y = values.get(x)
-        if y is None:
-            scale = iv.scale if isinstance(x, Interval) else iv._scale_number
-            y = values[x] = scale(x, back)
-        return y
-
-    return [
-        CTuple(u.n1, u.n2, scaled(u.tau), scaled(u.delta), scaled(u.b), scaled(u.e))
-        for u in answers
-    ]
+    scaled = cache(partial(iv.scale, factor=Fraction(1, grid)))
+    return [CTuple(u.n1, u.n2, *map(scaled, u[2:])) for u in answers]
 
 
 def _uncropped(n1: str, n2: str, tau: Interval, delta: Interval = _ZERO) -> CTuple:

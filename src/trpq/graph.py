@@ -28,6 +28,9 @@ _INTERVAL_TOKEN_RE = re.compile(iv.INTERVAL_PATTERN)
 class TemporalGraph:
     """A temporal graph; its facts must not change after construction.
 
+    The graph puts its own facts in canonical form: over discrete time the
+    domain and each fact interval take their closed integer form, and each
+    validity set is coalesced.  Every fact interval must lie in the domain.
     The nodes and a label index are derived from the facts once, here, so
     that evaluation never rescans them.  So is, over dense time, the lcm of
     the denominators of all its endpoints: the graph's share of the integer
@@ -46,18 +49,23 @@ class TemporalGraph:
 
     def __post_init__(self):
         by_label: dict[str, list] = {}
+        facts: dict[Triple, tuple[Interval, ...]] = {}
         discrete, domain = self.discrete, self.domain
+        if discrete and not iv.is_discrete_canonical(domain):
+            domain = iv.normalize_discrete(domain)
+            object.__setattr__(self, "domain", domain)
         for (s, p, o), validity in self.facts.items():
+            # over discrete time coalescing normalises each interval first; a
+            # coalesced interval lies in the domain iff each of its parts does
+            validity = facts[s, p, o] = iv.coalesce(validity, discrete=discrete)
             for i in validity:
-                # over discrete time only the integer points of i must lie in the domain
-                if not iv.covers(domain, i) and not (
-                    discrete and iv.covers(domain, iv.normalize_discrete(i))
-                ):
+                if not iv.covers(domain, i):
                     raise IntervalDomainError(
                         f"interval {i} of triple ({s}, {p}, {o}) "
                         f"is not contained in the domain {domain}"
                     )
             by_label.setdefault(p, []).append((s, o, validity))
+        object.__setattr__(self, "facts", facts)
         node_set = frozenset(x for s, _, o in self.facts for x in (s, o))
         object.__setattr__(self, "nodes", tuple(sorted(node_set)))
         object.__setattr__(self, "_node_set", node_set)
@@ -137,8 +145,8 @@ def load_graph(text: str) -> TemporalGraph:
         <subject> <predicate> <object> <interval>(, <interval>)*
 
     Lines starting with ``#`` are comments; blank lines are ignored.
-    Validity sets are coalesced at load, and every interval must be contained
-    in the domain.
+    Every interval must be contained in the domain; the graph coalesces each
+    validity set.
     """
     mode: str | None = None
     domain: Interval | None = None
@@ -209,11 +217,7 @@ def load_graph(text: str) -> TemporalGraph:
                 )
             raw_facts.setdefault(triple, []).append(interval)
 
-    facts = {
-        triple: iv.coalesce(vals, discrete=discrete)
-        for triple, vals in sorted(raw_facts.items())
-    }
-    return TemporalGraph(mode=mode, domain=domain, facts=facts)
+    return TemporalGraph(mode=mode, domain=domain, facts=dict(sorted(raw_facts.items())))
 
 
 def serialize_graph(g: TemporalGraph) -> str:
@@ -248,5 +252,5 @@ def scale_graph(g: TemporalGraph, factor: int, *, include_domain: bool = False) 
                     f"scaled interval {interval} of {triple} leaves the domain {domain}"
                 )
             scaled.append(interval)
-        facts[triple] = iv.coalesce(scaled, discrete=g.discrete)
+        facts[triple] = scaled
     return TemporalGraph(mode=g.mode, domain=domain, facts=facts)

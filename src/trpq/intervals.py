@@ -6,9 +6,10 @@ arithmetic in tests and golden values stays exact).  An :class:`Interval` is
 bounded, nonempty and delimiter-aware.  Discrete-time callers normalise to
 closed integer bounds with :func:`normalize_discrete`; over the integers every
 nonempty interval has that form, which makes equality and coalescing canonical.
-:func:`scale` multiplies by a positive factor and returns an integral endpoint
-as an ``int``; ``eval_c`` uses it to move a dense evaluation onto a common
-integer grid and back, so that ``int`` arithmetic replaces ``Fraction``.
+:func:`scale` multiplies a number or an interval by a positive factor and
+returns an integral value as an ``int``; ``eval_c`` uses it to move a dense
+evaluation onto a common integer grid and back, so that ``int`` arithmetic
+replaces ``Fraction``.
 
 >>> msum(closed(100, 101), closed(3, 5))
 Interval(103, 106)
@@ -163,18 +164,14 @@ def shift(iv: Interval, d: Number) -> Interval:
     return Interval(iv.lo + d, iv.hi + d, iv.left_closed, iv.right_closed)
 
 
-def scale(iv: Interval, factor: Number) -> Interval:
-    """Pointwise scaling by a positive factor: {t * factor | t in iv}; delimiters preserved.
+def scale(x: Number | Interval, factor: Number) -> Number | Interval:
+    """x * factor for a number; pointwise for an interval, delimiters preserved.
 
-    An integral endpoint comes out as an ``int``, never as ``Fraction(n, 1)``.
+    The factor is positive.  An integral result comes out as an ``int``,
+    never as ``Fraction(n, 1)``.
     """
-    return Interval(
-        _scale_number(iv.lo, factor), _scale_number(iv.hi, factor), iv.left_closed, iv.right_closed
-    )
-
-
-def _scale_number(x: Number, factor: Number) -> Number:
-    """x * factor, an ``int`` when integral."""
+    if isinstance(x, Interval):
+        return Interval(scale(x.lo, factor), scale(x.hi, factor), x.left_closed, x.right_closed)
     y = x * factor
     return y if isinstance(y, int) or y.denominator != 1 else y.numerator
 

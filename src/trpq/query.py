@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Union as TUnion
+from typing import Callable, Iterator, Optional, Union as TUnion
 
 from . import intervals as iv
 from .errors import EmptyIntervalError, QueryParseError, TrpqError
@@ -472,7 +472,30 @@ def format_query(q: Trpq) -> str:
     return _fmt(q, _PREC_UNION)
 
 
-# --- mode adaptation and scaling -------------------------------------------
+# --- time constants: walking, adapting and scaling -------------------------
+
+
+def time_leaves(q: Trpq) -> Iterator[TimeNav | LeqTime]:
+    """The navigation and time-bound leaves of ``q``, left to right; not recursive."""
+    stack = [q]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (TimeNav, LeqTime)):
+            yield node
+        stack.extend(reversed(children(node)))
+
+
+def map_times(q: Trpq, fn: Callable[[Interval | Number], Interval | Number]) -> Trpq:
+    """``q`` rebuilt with ``fn`` applied to every navigation interval and time bound."""
+
+    def leaf(node: Trpq) -> Trpq:
+        if isinstance(node, TimeNav):
+            return TimeNav(fn(node.delta))
+        if isinstance(node, LeqTime):
+            return LeqTime(fn(node.bound))
+        return node
+
+    return map_leaves(q, leaf)
 
 
 def adapt_query(q: Trpq, discrete: bool) -> Trpq:
@@ -484,16 +507,9 @@ def adapt_query(q: Trpq, discrete: bool) -> Trpq:
     """
     if not discrete:
         return q
-    return map_leaves(q, _adapt_leaf)
-
-
-def _adapt_leaf(q: Trpq) -> Trpq:
-    if isinstance(q, TimeNav):
-        return TimeNav(iv.normalize_discrete(q.delta))
-    if isinstance(q, LeqTime):
-        bound = q.bound if iv.is_integral(q.bound) else math.floor(q.bound)
-        return LeqTime(int(bound))
-    return q
+    return map_times(
+        q, lambda x: iv.normalize_discrete(x) if isinstance(x, Interval) else math.floor(x)
+    )
 
 
 def scale_query(q: Trpq, factor: int) -> Trpq:
@@ -503,12 +519,4 @@ def scale_query(q: Trpq, factor: int) -> Trpq:
     """
     if factor < 1:
         raise ValueError("scale factor must be a positive integer")
-
-    def scale_leaf(leaf: Trpq) -> Trpq:
-        if isinstance(leaf, TimeNav):
-            return TimeNav(iv.scale(leaf.delta, factor))
-        if isinstance(leaf, LeqTime):
-            return LeqTime(iv._scale_number(leaf.bound, factor))
-        return leaf
-
-    return map_leaves(q, scale_leaf)
+    return map_times(q, lambda x: iv.scale(x, factor))

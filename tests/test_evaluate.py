@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from functools import partial
@@ -16,13 +17,19 @@ from trpq import (
     eval_td,
     join_c,
     join_td,
+    load_graph,
     parse_query,
 )
 from trpq import evaluate as ev
 from trpq import intervals as iv
 from trpq import query as q_
 from trpq.compact import coalesce_d, coalesce_t, minimize_exact
-from trpq.errors import DenseInfeasibleError, FixpointLimitError, InvalidTupleError
+from trpq.errors import (
+    DenseInfeasibleError,
+    EmptyIntervalError,
+    FixpointLimitError,
+    InvalidTupleError,
+)
 from trpq.graph import TemporalGraph, graph_nodes, scale_graph
 from trpq.query import scale_query
 from trpq.tuples import (
@@ -980,6 +987,247 @@ def test_eval_c_builds_no_grid_for_integer_endpoints(name):
     assert G._grids == {}
 
 
+# --- time constants: one walker, one rewriter ------------------------------------
+#
+# The passes over a query's navigation intervals and time bounds as they were
+# before one walker (query.time_leaves) and one rewriter (query.map_times)
+# served them all, kept verbatim as references.
+
+
+def _reference_scale_number(x, factor):
+    """x * factor, an ``int`` when integral."""
+    y = x * factor
+    return y if isinstance(y, int) or y.denominator != 1 else y.numerator
+
+
+def _reference_scale(interval, factor):
+    return iv.Interval(
+        _reference_scale_number(interval.lo, factor), _reference_scale_number(interval.hi, factor),
+        interval.left_closed, interval.right_closed,
+    )
+
+
+def _reference_adapt_query(q, discrete):
+    if not discrete:
+        return q
+    return q_.map_leaves(q, _reference_adapt_leaf)
+
+
+def _reference_adapt_leaf(q):
+    if isinstance(q, q_.TimeNav):
+        return q_.TimeNav(iv.normalize_discrete(q.delta))
+    if isinstance(q, q_.LeqTime):
+        bound = q.bound if iv.is_integral(q.bound) else math.floor(q.bound)
+        return q_.LeqTime(int(bound))
+    return q
+
+
+def _reference_scale_query(q, factor):
+    if factor < 1:
+        raise ValueError("scale factor must be a positive integer")
+
+    def scale_leaf(leaf):
+        if isinstance(leaf, q_.TimeNav):
+            return q_.TimeNav(_reference_scale(leaf.delta, factor))
+        if isinstance(leaf, q_.LeqTime):
+            return q_.LeqTime(_reference_scale_number(leaf.bound, factor))
+        return leaf
+
+    return q_.map_leaves(q, scale_leaf)
+
+
+def _reference_denominator(q):
+    found, stack = {1}, [q]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, q_.TimeNav):
+            found.update((node.delta.lo.denominator, node.delta.hi.denominator))
+        elif isinstance(node, q_.LeqTime):
+            found.add(node.bound.denominator)
+        else:
+            stack.extend(q_.children(node))
+    return math.lcm(*found)
+
+
+def _reference_check_dense_t_feasible(q):
+    if isinstance(q, q_.TimeNav) and not q.delta.is_singleton:
+        raise DenseInfeasibleError(
+            "dense time: U^t requires every temporal navigation interval "
+            f"to be a singleton, got T{q.delta}"
+        )
+    for child in q_.children(q):
+        _reference_check_dense_t_feasible(child)
+
+
+def _reference_leq_window(domain, k):
+    if k >= domain.hi:
+        return domain
+    if k < domain.lo or (k == domain.lo and not domain.left_closed):
+        return None
+    return iv.Interval(domain.lo, k, domain.left_closed, True)
+
+
+def _repr_outcome(f, *args):
+    # the repr of the result, so that int and Fraction(n, 1) differ, or the error
+    try:
+        return repr(f(*args))
+    except (DenseInfeasibleError, EmptyIntervalError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@pytest.mark.parametrize("steps", [None, *_STEPS.values()], ids=["integers", *_STEPS])
+def test_time_constant_passes_match_their_references(steps):
+    seen = Counter()
+    for seed in range(300):
+        if steps is None:
+            q = random_instance(seed)[1]
+        else:
+            q = _random_stepped_instance(seed, steps)[1]
+        for discrete in (True, False):
+            adapted = _repr_outcome(q_.adapt_query, q, discrete)
+            assert adapted == _repr_outcome(_reference_adapt_query, q, discrete), (seed, q)
+            seen[adapted.startswith("EmptyIntervalError")] += 1
+        for factor in range(1, 7):
+            scaled = _repr_outcome(scale_query, q, factor)
+            assert scaled == _repr_outcome(_reference_scale_query, q, factor)
+        assert ev._denominator(q) == _reference_denominator(q)
+        feasible = _repr_outcome(ev._check_dense_t_feasible, q)
+        assert feasible == _repr_outcome(_reference_check_dense_t_feasible, q)
+        seen["wide T"] += feasible.startswith("DenseInfeasibleError")
+        seen["off the integers"] += ev._denominator(q) > 1
+    assert seen["wide T"] > 50
+    if steps is not None:
+        assert seen[True] > 10 and seen["off the integers"] > 100
+
+
+_DOMAINS = [
+    iv.closed(0, 5),
+    *(iv.Interval(Fraction(-1, 2), 5, lc, rc) for lc in (True, False) for rc in (True, False)),
+    *(iv.Interval(1, Fraction(17, 3), lc, rc) for lc in (True, False) for rc in (True, False)),
+]
+
+
+@pytest.mark.parametrize("domain", _DOMAINS, ids=str)
+def test_time_bound_leaf_matches_the_reference_window(domain):
+    # bounds below, at, between and above both ends of the domain
+    G = TemporalGraph("discrete" if domain == iv.closed(0, 5) else "dense", domain,
+                      {("a", "e", "b"): (iv.point(domain.hi if domain.right_closed else 3),)})
+    ends = (domain.lo, domain.hi)
+    bounds = {x + step for x in ends for step in (-1, Fraction(-1, 6), 0, Fraction(1, 6), 1)}
+    bounds.add(3)
+    if G.discrete:
+        bounds = {math.floor(k) for k in bounds}
+    for k in sorted(bounds):
+        window = _reference_leq_window(domain, k)
+        for rules in (ev._T_RULES, ev._C_RULES):
+            want = set() if window is None else {rules.flat(n, n, window) for n in G.nodes}
+            assert ev._leaf(G, q_.LeqTime(k), rules) == want, k
+
+
+@pytest.mark.parametrize("text, cited", [
+    ("(e/T[1,2])[1,_] + e + T[3,5]", "T[1,2]"),
+    ("T[3,5] + e/(T[1,2] + e)[0,2]", "T[3,5]"),
+])
+def test_dense_u_t_cites_the_first_wide_navigation(text, cited):
+    # left to right, into repetitions and unions alike
+    G = graph("dense", C(0, 10), ("a", "e", "b", [C(0, 1)]))
+    q = parse_query(text)
+    with pytest.raises(DenseInfeasibleError) as err:
+        eval_t(G, q)
+    assert str(err.value) == (
+        "dense time: U^t requires every temporal navigation interval "
+        f"to be a singleton, got {cited}"
+    )
+    with pytest.raises(DenseInfeasibleError, match=re.escape(cited)):
+        _reference_check_dense_t_feasible(q)
+
+
+# --- dense U^d joins -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("arrival, want", [
+    ("[50,50]", ""),
+    ("[3,3]", "d a c 1 [2,2]"),
+    ("[2,2]", None),
+], ids=["misses", "one-departure-lands", "infinite"])
+def test_dense_eval_d_expands_only_the_departures_that_land(arrival, want):
+    # e/T[1,2] departs over [0,1]; only the departures whose arrival meets f count
+    G = load_graph(f"mode dense\ndomain [0,60]\na e b [0,1]\nb f c {arrival}\n")
+    q = parse_query("e/T[1,2]/f")
+    if want is None:
+        with pytest.raises(DenseInfeasibleError) as err:
+            eval_d(G, q)
+        assert str(err.value) == (
+            "dense time: U^d would need one tuple per rational time point of [0,1]"
+        )
+    else:
+        assert eval_d(G, q).render() == want
+
+
+def test_dense_u_d_join_fails_on_the_same_pair_whatever_the_bucket_order():
+    # both right tuples start at 2 and would make the join fail, each citing
+    # its own departure window: [0,2] for tau [2,3], [0,4] for tau [2,6]
+    rules = ev._Rules(ev._nav_d, partial(ev._join_d, False), ordered=True,
+                      nav_join=ev._nav_join_d)
+    u1 = TDTuple("a", "b", C(0, 4), C(1, 2))
+    B = [TDTuple("b", "c", C(2, 6), C(0, 0)), TDTuple("b", "c", C(2, 3), C(0, 0))]
+    for right in (B, B[::-1]):
+        with pytest.raises(DenseInfeasibleError) as err:
+            ev._join_sets([u1], ev._buckets(right), rules)
+        assert str(err.value).endswith("time point of [0,2]")
+
+
+def _closed_half_steps(rng, values, points):
+    # a closed interval over ``values``, one point with probability ``points``
+    lo, hi = sorted((rng.choice(values), rng.choice(values)))
+    return iv.point(lo) if rng.random() < points else iv.closed(lo, hi)
+
+
+def _random_dense_d_instance(seed, source):
+    """A dense graph and query with closed delimiters only, on the half-step lattice.
+
+    ``randgen``: a random instance made dense, with some facts narrowed to a
+    point.  ``chains``: e/T[..]/f, or e/T[..]/f/T[..]/e, over half-step facts.
+    """
+    rng = random.Random(f"{source}-{seed}")
+    if source == "randgen":
+        G, q = random_instance(seed)
+        facts = {
+            triple: [iv.point(x.lo) if rng.random() < 0.5 else x for x in validity]
+            for triple, validity in G.facts.items()
+        }
+        return TemporalGraph("dense", G.domain, facts), q
+    facts = {}
+    for _ in range(rng.randint(1, 5)):
+        triple = (rng.choice("AB"), rng.choice("ef"), rng.choice("AB"))
+        facts.setdefault(triple, []).append(_closed_half_steps(rng, HALF_STEPS, 0.4))
+    def nav():
+        return q_.TimeNav(_closed_half_steps(rng, HALF_STEPS[8:17], 0.2))  # within [-2, 2]
+
+    parts = [q_.Label("e"), nav(), q_.Label("f")]
+    if rng.random() < 0.3:
+        parts += [nav(), q_.Label("e")]
+    return TemporalGraph("dense", iv.closed(-6, 6), facts), q_.Join(*parts)
+
+
+@pytest.mark.parametrize("source", ["randgen", "chains"])
+def test_dense_eval_d_matches_eval_c_on_the_half_step_lattice(source):
+    # closed delimiters only: with mixed ones eval_c has its documented crop-line gap
+    answered = Counter()
+    for seed in range(500):
+        G, q = _random_dense_d_instance(seed, source)
+        try:
+            answer = eval_d(G, q)
+        except DenseInfeasibleError:
+            continue
+        lo, hi = G.domain.lo, G.domain.hi
+        grid = [lo + Fraction(k, 2) for k in range(2 * (hi - lo) + 1)]
+        got = _grid_relations(answer, lambda u: as_ctuple(as_td(u)), grid)
+        assert got == _grid_relations(eval_c(G, q), lambda u: u, grid), (seed, q)
+        answered[bool(got)] += 1
+    assert answered[True] > 15 and answered[False] > 100
+
+
 # --- bucket joins -------------------------------------------------------------
 
 
@@ -1067,10 +1315,9 @@ _SHARED_NODES = ("a", "b", "c", "d", "e", "f")
 def test_pruned_join_sets_match_plain_bucket_loop(kind, dense, shared):
     rules = {
         "t": ev._T_RULES,
-        # discrete U^d prunes by the hull of tau + delta; d-shared keeps the
-        # probe-every-pair loop that dense U^d uses
-        "d": ev._Rules(nav=ev._nav_d, join=partial(ev._join_d, True),
-                       reach=None if shared else ev._reach_rect),
+        # every join prunes by the hull of tau + delta; d-shared also walks
+        # the pairs in canonical order, as dense U^d does
+        "d": ev._Rules(nav=ev._nav_d, join=partial(ev._join_d, True), ordered=shared),
         "td": ev._Rules(nav=ev._nav_d, join=join_td),
         "c": ev._C_RULES,
     }[kind]

@@ -3,11 +3,22 @@ from fractions import Fraction
 
 import pytest
 
-from trpq import graph_nodes, load_graph, serialize_graph
+from trpq import (
+    eval_c,
+    eval_d,
+    eval_direct,
+    eval_t,
+    eval_td,
+    graph_nodes,
+    load_graph,
+    parse_query,
+    serialize_graph,
+)
 from trpq.errors import GraphParseError
 from trpq.graph import TemporalGraph, graphs_equal, scale_graph
 from trpq.errors import IntervalDomainError
 from trpq import intervals as iv
+from trpq.tuples import unfold
 
 from randgen import random_graph
 
@@ -209,12 +220,43 @@ def test_graph_built_through_the_api_rejects_a_fact_outside_its_domain(mode, dom
 
 
 def test_graph_built_through_the_api_checks_the_integer_points_of_a_discrete_fact():
-    # (-1,11/2) holds the integers 0..5, all in [0,5]: over discrete time it fits
+    # (-1,11/2) holds the integers 0..5, all in [0,5]: over discrete time it
+    # fits, and the graph keeps it in its canonical form
     fact = iv.Interval(-1, Fraction(11, 2), False, False)
     g = TemporalGraph("discrete", iv.closed(0, 5), {("A", "e", "B"): (fact,)})
-    assert g.val("A", "e", "B") == (fact,)
+    assert g.val("A", "e", "B") == (iv.closed(0, 5),)
     with pytest.raises(IntervalDomainError, match=r"interval \[0,6\] of triple \(A, e, B\)"):
         TemporalGraph("discrete", iv.closed(0, 5), {("A", "e", "B"): (iv.closed(0, 6),)})
+
+
+def test_graph_built_through_the_api_puts_its_facts_in_canonical_form():
+    def intervals(*texts):
+        return tuple(map(iv.parse_interval, texts))
+
+    g = TemporalGraph("discrete", iv.parse_interval("(0,20]"), {
+        ("a", "e", "b"): intervals("(0,3)", "[7,9]", "(2,5]"),
+        ("b", "e", "a"): intervals("[4,4]"),
+    })
+    assert g.domain == iv.closed(1, 20)
+    assert g.val("a", "e", "b") == intervals("[1,5]", "[7,9]")
+    assert g.val("b", "e", "a") == intervals("[4,4]")
+    assert graphs_equal(g, load_graph(serialize_graph(g)))
+    dense = TemporalGraph("dense", iv.closed(0, 10), {
+        ("a", "e", "b"): intervals("[6,7]", "(1,3)", "[2,4)"),
+    })
+    assert dense.val("a", "e", "b") == intervals("(1,4)", "[6,7]")
+
+
+@pytest.mark.parametrize("kind", ["t", "d", "td", "c"])
+def test_a_non_canonical_discrete_fact_evaluates_like_the_oracle(kind):
+    # (0,3) holds the integers 1 and 2; every evaluator reads it as [1,2]
+    g = TemporalGraph("discrete", iv.closed(0, 5),
+                      {("a", "e", "b"): (iv.Interval(0, 3, False, False),)})
+    evaluate = {"t": eval_t, "d": eval_d, "td": eval_td, "c": eval_c}[kind]
+    for text in ("e", "e/e^-", "e/T[0,2]"):
+        q = parse_query(text)
+        assert unfold(evaluate(g, q), kind) == eval_direct(g, q), text
+    assert eval_c(g, parse_query("e")).render() == "c a b [1,2] [0,0] b=1 e=2"
 
 
 def test_load_graph_reports_a_fact_outside_the_domain_by_line():

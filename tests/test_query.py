@@ -20,7 +20,9 @@ from trpq.query import (
     adapt_query,
     depth,
     map_leaves,
+    map_times,
     scale_query,
+    time_leaves,
 )
 
 from nesting import SHAPES
@@ -206,6 +208,34 @@ def test_scale_query_gives_int_for_integral_results():
     assert scaled == Join(TimeNav(iv.Interval(1, 3, True, False)), LeqTime(5))
     assert "Fraction(" not in repr(scaled)
     assert format_query(scale_query(parse_query("(<=1/3)"), 2)) == "(<=2/3)"
+
+
+def test_time_leaves_walk_left_to_right_into_every_subquery():
+    q = parse_query("(T[1,2]/e)[1,_]/?((<=3) + !((<=4))) + e^-/T(5,6] + (e/T[7,8])[0,2]")
+    assert list(time_leaves(q)) == [
+        TimeNav(iv.closed(1, 2)),
+        LeqTime(3),
+        LeqTime(4),
+        TimeNav(iv.Interval(5, 6, False, True)),
+        TimeNav(iv.closed(7, 8)),
+    ]
+    # not recursive: a tree far deeper than the interpreter's stack
+    deep = TimeNav(iv.point(1))
+    for _ in range(20_000):
+        deep = Test(deep)
+    assert list(time_leaves(deep)) == [TimeNav(iv.point(1))]
+
+
+def test_map_times_rewrites_every_navigation_interval_and_time_bound():
+    q = parse_query("(T[1,2]/e)[1,_]/?((<=3) + !((<=4)))")
+    seen = []
+
+    def shift(x):
+        seen.append(x)
+        return iv.shift(x, 10) if isinstance(x, iv.Interval) else x + 10
+
+    assert map_times(q, shift) == parse_query("(T[11,12]/e)[1,_]/?((<=13) + !((<=14)))")
+    assert seen == [iv.closed(1, 2), 3, 4]
 
 
 # --- nesting limit ---------------------------------------------------------------
