@@ -19,22 +19,24 @@ Unions are set unions, a join chain folds its operands left to right,
 bucketing each right operand by source node, and repetition iterates join
 rounds semi-naively until a round adds nothing, with a round cap against
 non-terminating dense closures.  Each representation supplies ``_Rules``,
-naming only what differs from the defaults: ``nav(G, delta)`` evaluates
-temporal navigation once, as tuples with placeholder nodes that the
-recursion gives each node n as (n, n); ``join(u1, u2)`` composes two tuples
-into zero or more; ``flat(n1, n2, tau)`` builds the zero-distance, uncropped
-tuple of labels, inverses, node filters, negation gaps and repetition
-identities (by default delta is [0, 0]).  Every join probes only the tuples
-of its bucket whose time interval meets the hull of tau + delta, where u1
-can arrive.  U^d alone adds two rules: ``ordered``, set over dense time,
-where its join can fail, walks the pairs in canonical order, so that an
-error always cites the same interval; ``nav_join`` is a join with a
-trailing navigation fused into a unary rule.
+naming only what differs from the defaults: ``join(u1, u2)`` composes two
+tuples into zero or more; ``flat(n1, n2, tau, delta=[0, 0])`` builds an
+uncropped tuple: zero-distance for labels, inverses, node filters, negation
+gaps and repetition identities, (domain, delta) for navigation.  Every join
+probes only the tuples of its bucket whose time interval meets the hull of
+tau + delta, where u1 can arrive.  U^t alone adds ``nav(G, delta)``; U^d
+alone adds ``ordered``, set over dense time, where its join can fail, which
+walks the pairs in canonical order, so that an error always cites the same
+interval, and ``nav_join``, a join with a trailing navigation fused into a
+unary rule.
 
-Navigation composes (domain, delta) with the domain rectangle: U^c with
-``join_c``, U^t with ``_join_fixed`` once per distance, U^d and U^td with
-``_per_point``, which composes at each given departure time and is also the
-U^td join and the U^d join for a delta wider than one point.
+Navigation T[a, b] is built once, with placeholder nodes that the recursion
+gives each node n as (n, n), as the paper defines it: (domain, [a, b])
+composed with the domain rectangle, ``join(flat(D, [a, b]), flat(D))``.
+U^t alone has its own ``nav``, one such join per distance, since its tuples
+hold one distance each.  ``_per_departure`` composes a wider delta at each
+departure that lands: the U^d and U^td joins do, and so does U^d's
+``nav_join`` for a group that leaves the domain.
 
 Two kinds of work are shared, each for no longer than it is needed.  Within
 one evaluation every distinct leaf subquery (label, node predicate, time
@@ -58,7 +60,7 @@ from . import intervals as iv
 from . import query as q_
 from .errors import DenseInfeasibleError, FixpointLimitError, InvalidTupleError
 from .graph import TemporalGraph, _on_grid, graph_nodes
-from .intervals import Interval, Number
+from .intervals import Interval
 from .query import MAX_ITERATIONS
 from .tuples import (
     CTuple,
@@ -115,9 +117,9 @@ class AnswerSet:
 class _Rules(NamedTuple):
     """What one representation supplies to the shared recursion (see the module docstring)."""
 
-    nav: Callable
     join: Callable
     flat: Callable = _flat_td
+    nav: Optional[Callable] = None
     ordered: bool = False
     nav_join: Optional[Callable] = None
 
@@ -205,10 +207,14 @@ def _leaf(G, q, rules: _Rules) -> set:
         # the part of the domain at or before the bound
         window = iv.intersect(domain, iv.closed(min(domain.lo, q.bound), q.bound))
         return set() if window is None else {rules.flat(n, n, window) for n in nodes}
-    # temporal navigation
+    # temporal navigation: (domain, delta) composed with the domain rectangle
     if not nodes:
         return set()  # no node to navigate from, so no dense-time error either
-    return {type(u)(n, n, *u[2:]) for u in rules.nav(G, q.delta) for n in nodes}
+    if rules.nav is not None:
+        navs = rules.nav(G, q.delta)
+    else:
+        navs = rules.join(rules.flat("", "", domain, delta=q.delta), rules.flat("", "", domain))
+    return {type(u)(n, n, *u[2:]) for u in navs for n in nodes}
 
 
 def _buckets(B) -> dict:
@@ -347,7 +353,7 @@ def _join_fixed(u1: TDTuple, u2: TDTuple) -> tuple[TDTuple, ...]:
     return (TDTuple(u1.n1, u2.n2, shared, iv.shift(u2.delta, c)),)
 
 
-_T_RULES = _Rules(_nav_t, _join_fixed)
+_T_RULES = _Rules(_join_fixed, nav=_nav_t)
 
 
 # --------------------------------------------------------------------------
@@ -356,18 +362,16 @@ _T_RULES = _Rules(_nav_t, _join_fixed)
 #
 # A U^d group (n1, n2, tau, delta) stands for one DTuple per time point of
 # tau.  Node and edge filters give finitely many groups even over dense time;
-# a rule expands a group only where it must, a join only at the departures
-# that land, which over dense time is an error unless they are one point.
-# There groups are expanded in canonical order, so that the error always
-# cites the same interval.
+# a rule expands a group only where it must, a join and a navigation only at
+# the departures that land, which over dense time is an error unless they
+# are one point.  There groups are expanded in canonical order, so that the
+# error always cites the same interval.
 
 
 def eval_d(G: TemporalGraph, q: q_.Trpq, *, max_iterations: int = MAX_ITERATIONS) -> AnswerSet:
     """Inductive evaluation folding distances: tuples (n1, n2, t, delta)."""
     q = q_.adapt_query(q, G.discrete)
-    rules = _Rules(
-        _nav_d, partial(_join_d, G.discrete), ordered=not G.discrete, nav_join=_nav_join_d
-    )
+    rules = _Rules(partial(_join_d, G.discrete), ordered=not G.discrete, nav_join=_nav_join_d)
     groups = _evaluate(G, q, rules, max_iterations, {})
     out = []
     for g in groups if G.discrete else sorted(groups, key=tuple_sort_key):
@@ -386,54 +390,39 @@ def _expand_times(tau: Interval, discrete: bool):
     )
 
 
-def _per_point(u1: TDTuple, u2: TDTuple, times: Iterable[Number]) -> tuple[TDTuple, ...]:
-    """u1 composed with u2 at each departure time t of ``times``.
+def _per_departure(u1: TDTuple, u2: TDTuple, discrete: bool) -> tuple[TDTuple, ...]:
+    """u1 composed with u2 at each departure of u1 that lands in tau2.
 
-    One rectangle ([t, t], (tau2 n (t + delta1)) - t + delta2) per t whose
-    arrivals meet tau2; the only rule that expands a rectangle per time point.
-    """
-    out = []
-    for t in times:
-        arrivals = iv.intersect(u2.tau, iv.shift(u1.delta, t))
-        if arrivals is not None:
-            out.append(
-                TDTuple(u1.n1, u2.n2, iv.point(t), iv.msum(iv.shift(arrivals, -t), u2.delta))
-            )
-    return tuple(out)
-
-
-def _nav_d(G, delta: Interval) -> tuple[TDTuple, ...]:
-    """(domain, delta) composed with the domain at each of its time points."""
-    nav, domain = TDTuple("", "", G.domain, delta), _flat_td("", "", G.domain)
-    return _per_point(nav, domain, _expand_times(G.domain, G.discrete))
-
-
-def _departures(u1: TDTuple, u2: TDTuple) -> Optional[Interval]:
-    """The departures of u1 that land in tau2: (((tau1 + delta1) n tau2) - delta1) n tau1.
-
-    None when there is none.  Every arrival lies within tau1 + delta1, so a
-    nonempty landing gives a nonempty window, and every departure in it lands.
+    The departures that land are (((tau1 + delta1) n tau2) - delta1) n tau1;
+    every arrival lies within tau1 + delta1, so each of them lands.  Each
+    departure t gives ([t, t], (tau2 n (t + delta1)) - t + delta2).  The only
+    rule that expands a rectangle per time point: over dense time the
+    departures must be one point.
     """
     landing = iv.intersect(iv.msum(u1.tau, u1.delta), u2.tau)
     if landing is None:
-        return None
-    return iv.intersect(iv.mdiff(landing, u1.delta), u1.tau)
+        return ()
+    window = iv.intersect(iv.mdiff(landing, u1.delta), u1.tau)
+    out = []
+    for t in _expand_times(window, discrete):
+        arrivals = iv.intersect(u2.tau, iv.shift(u1.delta, t))
+        out.append(TDTuple(u1.n1, u2.n2, iv.point(t), iv.msum(iv.shift(arrivals, -t), u2.delta)))
+    return tuple(out)
 
 
 def _join_d(discrete: bool, u1: TDTuple, u2: TDTuple) -> tuple[TDTuple, ...]:
     if u1.delta.is_singleton:
         return _join_fixed(u1, u2)
-    window = _departures(u1, u2)
-    return () if window is None else _per_point(u1, u2, _expand_times(window, discrete))
+    return _per_departure(u1, u2, discrete)
 
 
 def _nav_join_d(groups, delta: Interval, G) -> set:
     """The unary rule for a join whose right operand is temporal navigation.
 
     Distances extend by the navigation interval.  A group whose arrivals stay
-    in the domain survives whole; any other is composed with the domain per
-    time point.  Groups ending at a node absent from the graph have no
-    navigation partner.
+    in the domain survives whole; any other is composed with the domain at
+    each departure that lands.  Groups ending at a node absent from the graph
+    have no navigation partner.
     """
     nodes = graph_nodes(G)
     out = set()
@@ -444,8 +433,7 @@ def _nav_join_d(groups, delta: Interval, G) -> set:
         if iv.covers(G.domain, iv.msum(g.tau, extended.delta)):
             out.add(extended)
         else:
-            domain = _flat_td(g.n2, g.n2, G.domain)
-            out.update(_per_point(extended, domain, _expand_times(g.tau, G.discrete)))
+            out.update(_per_departure(extended, _flat_td(g.n2, g.n2, G.domain), G.discrete))
     return out
 
 
@@ -468,8 +456,7 @@ def join_td(u1: TDTuple, u2: TDTuple) -> tuple[TDTuple, ...]:
             raise DenseInfeasibleError(
                 "dense time: the U^td join expands per time point and is not finite"
             )
-    window = _departures(u1, u2)
-    return () if window is None else _per_point(u1, u2, iv.iter_points(window))
+    return _per_departure(u1, u2, True)
 
 
 def eval_td(G: TemporalGraph, q: q_.Trpq, *, max_iterations: int = MAX_ITERATIONS) -> AnswerSet:
@@ -477,9 +464,9 @@ def eval_td(G: TemporalGraph, q: q_.Trpq, *, max_iterations: int = MAX_ITERATION
     if not G.discrete:
         raise DenseInfeasibleError("dense time: U^td may require infinitely many rectangles")
     q = q_.adapt_query(q, True)
-    # navigation is U^d's, the same shapes over discrete time; join_td is
-    # named per call, so rebinding it (as a tracer does) reaches every join
-    rules = _Rules(_nav_d, join_td)
+    # join_td is named per call, so rebinding it (as a tracer does) reaches
+    # every join, navigation's too
+    rules = _Rules(join_td)
     return AnswerSet("td", G.mode, _evaluate(G, q, rules, max_iterations, {}))
 
 
@@ -581,11 +568,7 @@ def _join_c(u1: CTuple, u2: CTuple) -> tuple[CTuple, ...]:
     return () if joined is None else (joined,)
 
 
-def _nav_c(G, delta: Interval) -> tuple[CTuple, ...]:
-    return _join_c(_uncropped("", "", G.domain, delta), _uncropped("", "", G.domain))
-
-
-_C_RULES = _Rules(_nav_c, _join_c, flat=_uncropped)
+_C_RULES = _Rules(_join_c, flat=_uncropped)
 
 
 EVALUATORS = {"t": eval_t, "d": eval_d, "td": eval_td, "c": eval_c}

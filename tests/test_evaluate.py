@@ -302,9 +302,11 @@ def test_join_td_matches_the_checked_reference():
 
 # --- per-point composition ----------------------------------------------------
 #
-# join_td, _join_d, _nav_d and _nav_join_d as they stood with a per-time-point
-# loop each, kept verbatim (but for module prefixes) to check the ones that
-# compose through _per_point
+# join_td, _join_d, U^d navigation and _nav_join_d as they stood with a
+# per-time-point loop each, kept verbatim (but for module prefixes) to check
+# the ones that compose through _per_departure.  Over dense time the loops
+# expand every point of the domain, or of a group's tau, so they raise where
+# the departures that land are finitely many
 
 
 def _sliced_join_td(u1, u2):
@@ -393,8 +395,37 @@ def test_per_point_joins_match_their_looped_references():
     assert 5_000 < chained < 15_000
 
 
+def _cited(message):
+    # the interval a dense-time expansion error cites, at the end of its text
+    return iv.parse_interval(message.rsplit(" ", 1)[1])
+
+
+def _quarter_steps(tau):
+    # the points of tau on the quarter-step grid, between the half steps too
+    first = math.ceil(tau.lo * 4)
+    return [x for x in (Fraction(k, 4) for k in range(first, math.floor(tau.hi * 4) + 1))
+            if iv.contains(tau, x)]
+
+
+def _expanded(tuples):
+    # one (n1, n2, t, delta) per time point of each rectangle, over discrete time
+    return Counter((u.n1, u.n2, t, u.delta) for u in tuples for t in iv.iter_points(u.tau))
+
+
+def _deltas_at(tuples, t):
+    return [u.delta for u in tuples if iv.contains(u.tau, t)]
+
+
+def _joined_nav_d(G, delta):
+    # U^d navigation as eval_d builds it: (domain, delta) joined with the domain
+    return ev._join_d(G.discrete, TDTuple("", "", G.domain, delta),
+                      TDTuple("", "", G.domain, C(0, 0)))
+
+
 @pytest.mark.parametrize("dense", [False, True], ids=["discrete", "dense"])
-def test_nav_d_matches_its_looped_reference(dense):
+def test_nav_d_matches_its_looped_reference(dense, monkeypatch):
+    # Where the loop raises, navigation raises citing a part of the loop's
+    # interval, or answers as the loop does at each departure alone.
     rng = random.Random(f"nav-{dense}")
     outcomes = Counter()
     for _ in range(1_000):
@@ -402,18 +433,36 @@ def test_nav_d_matches_its_looped_reference(dense):
         G = graph("dense" if dense else "discrete", _random_span(rng, dense, lo, lo + 6))
         delta = _random_span(rng, dense, -8, 8)
         expected = _dense_outcome(_looped_nav_d, G, delta)
+        got = _dense_outcome(_joined_nav_d, G, delta)
         if not isinstance(expected, str):
             constructor, shapes = expected
-            expected = tuple(constructor("", "", *shape) for shape in shapes)
-        assert _dense_outcome(ev._nav_d, G, delta) == expected, (G.domain, delta)
-        outcomes[expected if isinstance(expected, str) else bool(expected)] += 1
-    errors = sum(isinstance(k, str) for k in outcomes)  # distinct error texts
-    assert outcomes[True] > (20 if dense else 200)
-    assert errors > 100 if dense else errors == 0
+            expected = [constructor("", "", *shape) for shape in shapes]
+            if dense:
+                assert set(got) == set(expected), (G.domain, delta)
+            else:
+                assert _expanded(got) == _expanded(expected), (G.domain, delta)
+            outcomes["same" if expected else "empty"] += 1
+        elif isinstance(got, str):
+            assert iv.covers(_cited(expected), _cited(got)), (G.domain, delta, got)
+            outcomes["raises" if got == expected else "raises on less"] += 1
+        else:
+            for t in _quarter_steps(G.domain):
+                with monkeypatch.context() as m:  # the loop at departure t alone
+                    m.setattr(ev, "_expand_times", lambda tau, discrete: (t,))
+                    shapes = _looped_nav_d(G, delta)[1]
+                assert _deltas_at(got, t) == [d for _, d in shapes], (G.domain, delta, t)
+            outcomes["answers"] += 1
+    assert outcomes["same"] > (20 if dense else 200)
+    if dense:
+        assert outcomes["raises on less"] > 20 and outcomes["answers"] > 200
+    else:
+        assert set(outcomes) <= {"same", "empty"}
 
 
 @pytest.mark.parametrize("dense", [False, True], ids=["discrete", "dense"])
 def test_nav_join_d_matches_its_looped_reference(dense):
+    # Group by group, as for U^d navigation; a set of groups gives their
+    # union, or the first error in canonical order.
     rng = random.Random(f"nav-join-{dense}")
     outcomes = Counter()
     for _ in range(1_000):
@@ -427,12 +476,33 @@ def test_nav_join_d_matches_its_looped_reference(dense):
             groups.add(TDTuple(rng.choice("ab"), rng.choice("abc"), tau,
                                _random_span(rng, dense, -3, 3)))
         delta = _random_span(rng, dense, -4, 4)
-        expected = _dense_outcome(_looped_nav_join_d, groups, delta, G)
-        assert _dense_outcome(ev._nav_join_d, groups, delta, G) == expected, (groups, delta)
-        outcomes[expected if isinstance(expected, str) else bool(expected)] += 1
-    errors = sum(isinstance(k, str) for k in outcomes)  # distinct error texts
-    assert outcomes[True] > (100 if dense else 500)
-    assert errors > 100 if dense else errors == 0
+        each = []
+        for g in sorted(groups, key=ev.tuple_sort_key):
+            expected = _dense_outcome(_looped_nav_join_d, {g}, delta, G)
+            got = _dense_outcome(ev._nav_join_d, {g}, delta, G)
+            each.append(got)
+            if not isinstance(expected, str):
+                if dense:
+                    assert got == expected, (g, delta)
+                else:
+                    assert _expanded(got) == _expanded(expected), (g, delta)
+                outcomes["same" if expected else "empty"] += 1
+            elif isinstance(got, str):
+                assert iv.covers(_cited(expected), _cited(got)), (g, delta, got)
+                outcomes["raises" if got == expected else "raises on less"] += 1
+            else:
+                for t in _quarter_steps(g.tau):
+                    at_t = _looped_nav_join_d({g._replace(tau=iv.point(t))}, delta, G)
+                    assert _deltas_at(got, t) == _deltas_at(at_t, t), (g, delta, t)
+                outcomes["answers"] += 1
+        errors = [got for got in each if isinstance(got, str)]
+        whole = errors[0] if errors else set().union(*each)
+        assert _dense_outcome(ev._nav_join_d, groups, delta, G) == whole, (groups, delta)
+    assert outcomes["same"] > (100 if dense else 500)
+    if dense:
+        assert outcomes["raises on less"] > 50 and outcomes["answers"] > 200
+    else:
+        assert set(outcomes) <= {"same", "empty"}
 
 
 # --- U^td ---------------------------------------------------------------------
@@ -471,13 +541,14 @@ def test_eval_td_dense_rejected(parallelogram):
 
 @pytest.mark.parametrize("lo, width", [(0, 0), (0, 3), (-2, 6), (5, 1)])
 def test_eval_td_navigation_is_the_join_of_navigation_with_the_domain(lo, width):
-    # U^td navigates as U^d does: per time point, the distances delta allows
-    G = graph("discrete", C(lo, lo + width))
+    # T[a,b] is join_td of (domain, [a,b]) with the domain: per time point,
+    # the distances [a,b] allows, as the per-point loop gave them
+    G = graph("discrete", C(lo, lo + width), ("n", "e", "n", [C(lo, lo)]))
     for a in range(-width - 2, width + 3):
         for b in range(a, width + 3):
-            delta = C(a, b)
-            joined = join_td(TDTuple("", "", G.domain, delta), TDTuple("", "", G.domain, C(0, 0)))
-            assert set(ev._nav_d(G, delta)) == set(joined), delta
+            constructor, shapes = _looped_nav_d(G, C(a, b))
+            want = {constructor("n", "n", *shape) for shape in shapes}
+            assert set(eval_td(G, q_.TimeNav(C(a, b)))) == want, (a, b)
 
 
 # --- join_c -------------------------------------------------------------------
@@ -1164,11 +1235,26 @@ def test_dense_eval_d_expands_only_the_departures_that_land(arrival, want):
         assert eval_d(G, q).render() == want
 
 
+@pytest.mark.parametrize("text, want", [
+    ("e/T[10,10]", "d a b 0 [10,10]"),
+    ("T[10,10]", "d a a 0 [10,10]\nd b b 0 [10,10]"),
+    ("T[0,0]", None),
+], ids=["e-then-edge", "edge", "infinite"])
+def test_dense_eval_d_navigates_only_from_the_departures_that_land(text, want):
+    # only t = 0 lands at 10; T[0,0] holds every point of the domain
+    G = load_graph("mode dense\ndomain [0,10]\na e b [0,1]\n")
+    if want is None:
+        with pytest.raises(DenseInfeasibleError) as err:
+            eval_d(G, parse_query(text))
+        assert str(err.value).endswith("time point of [0,10]")
+    else:
+        assert eval_d(G, parse_query(text)).render() == want
+
+
 def test_dense_u_d_join_fails_on_the_same_pair_whatever_the_bucket_order():
     # both right tuples start at 2 and would make the join fail, each citing
     # its own departure window: [0,2] for tau [2,3], [0,4] for tau [2,6]
-    rules = ev._Rules(ev._nav_d, partial(ev._join_d, False), ordered=True,
-                      nav_join=ev._nav_join_d)
+    rules = ev._Rules(partial(ev._join_d, False), ordered=True, nav_join=ev._nav_join_d)
     u1 = TDTuple("a", "b", C(0, 4), C(1, 2))
     B = [TDTuple("b", "c", C(2, 6), C(0, 0)), TDTuple("b", "c", C(2, 3), C(0, 0))]
     for right in (B, B[::-1]):
@@ -1188,8 +1274,18 @@ def _random_dense_d_instance(seed, source):
 
     ``randgen``: a random instance made dense, with some facts narrowed to a
     point.  ``chains``: e/T[..]/f, or e/T[..]/f/T[..]/e, over half-step facts.
+    ``edges``: half-step facts, those labelled p one point each, and queries
+    whose every departure window is one point (see ``_edge_query``), so that
+    each instance answers.
     """
     rng = random.Random(f"{source}-{seed}")
+    if source == "edges":
+        facts = {}
+        for _ in range(rng.randint(2, 6)):
+            triple = (rng.choice("AB"), rng.choice("efp"), rng.choice("AB"))
+            points = 1 if triple[1] == "p" else 0.4  # p-facts are points
+            facts.setdefault(triple, []).append(_closed_half_steps(rng, HALF_STEPS, points))
+        return TemporalGraph("dense", iv.closed(-6, 6), facts), _edge_query(rng, facts)
     if source == "randgen":
         G, q = random_instance(seed)
         facts = {
@@ -1210,7 +1306,37 @@ def _random_dense_d_instance(seed, source):
     return TemporalGraph("dense", iv.closed(-6, 6), facts), q_.Join(*parts)
 
 
-@pytest.mark.parametrize("source", ["randgen", "chains"])
+def _edge_query(rng, facts):
+    """A query over the domain [-6, 6] whose every departure window is one point.
+
+    T[12,12] and T[-12,-12] leave from one end of the domain only.  A
+    navigation after e reaches the right end from the earliest start x of an
+    e-fact, T[6-x, 6-x] or T[6-x, 6-x+k], or the left end from the latest end
+    y, T[-6-y, -6-y] or T[-6-y-k, -6-y]; any later e-fact departs too late,
+    or too early, to land.  A one-point navigation after the point facts p,
+    on its own or in a union, is a fixed hop.
+    """
+    e_taus = [tau for (_, p, _), taus in facts.items() if p == "e" for tau in taus]
+    reach = [q_.TimeNav(iv.point(w)) for w in (12, -12)]
+    if e_taus:
+        x = min(tau.lo for tau in e_taus)
+        y = max(tau.hi for tau in e_taus)
+        k = rng.choice(HALF_STEPS[13:])  # a positive half step up to 6
+        reach += [q_.TimeNav(iv.point(6 - x)), q_.TimeNav(iv.closed(6 - x, 6 - x + k)),
+                  q_.TimeNav(iv.point(-6 - y)), q_.TimeNav(iv.closed(-6 - y - k, -6 - y))]
+    hop = q_.TimeNav(iv.point(rng.choice(HALF_STEPS[8:17])))  # within [-2, 2]
+    shape = rng.randrange(3)
+    if shape == 0:  # from an end of the domain
+        parts = [rng.choice(reach[:2])]
+    elif shape == 1 and e_taus:  # e, then to an end of the domain
+        parts = [q_.Label("e"), rng.choice(reach[2:])]
+    else:  # a fixed hop after a point fact, on its own or in a union
+        parts = [q_.Label("p"), hop if rng.random() < 0.5 else q_.Union(hop, q_.Label("f"))]
+    parts += [q_.Label(rng.choice("ef"))] if rng.random() < 0.5 else []
+    return q_.Join(*parts) if len(parts) > 1 else parts[0]
+
+
+@pytest.mark.parametrize("source", ["randgen", "chains", "edges"])
 def test_dense_eval_d_matches_eval_c_on_the_half_step_lattice(source):
     # closed delimiters only: with mixed ones eval_c has its documented crop-line gap
     answered = Counter()
@@ -1219,6 +1345,7 @@ def test_dense_eval_d_matches_eval_c_on_the_half_step_lattice(source):
         try:
             answer = eval_d(G, q)
         except DenseInfeasibleError:
+            assert source != "edges", (seed, q)
             continue
         lo, hi = G.domain.lo, G.domain.hi
         grid = [lo + Fraction(k, 2) for k in range(2 * (hi - lo) + 1)]
@@ -1317,8 +1444,8 @@ def test_pruned_join_sets_match_plain_bucket_loop(kind, dense, shared):
         "t": ev._T_RULES,
         # every join prunes by the hull of tau + delta; d-shared also walks
         # the pairs in canonical order, as dense U^d does
-        "d": ev._Rules(nav=ev._nav_d, join=partial(ev._join_d, True), ordered=shared),
-        "td": ev._Rules(nav=ev._nav_d, join=join_td),
+        "d": ev._Rules(join=partial(ev._join_d, True), ordered=shared),
+        "td": ev._Rules(join=join_td),
         "c": ev._C_RULES,
     }[kind]
     rng = random.Random(f"{kind}-{dense}-shared" if shared else f"{kind}-{dense}")
