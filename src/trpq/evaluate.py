@@ -7,7 +7,7 @@ tuples whose unfolding is exactly the direct answer set:
   interval is a singleton);
 * ``eval_d``  in U^d  (over dense time, feasible only when no step needs to
   enumerate the points of a non-singleton interval);
-* ``eval_td`` in U^td (discrete time only: its join expands per time point);
+* ``eval_td`` in U^td (discrete time only: the groups of ``eval_d`` as they are);
 * ``eval_c``  in U^c  (both modes; the representation closed under join;
   over dense time it runs on a common integer grid, see ``eval_c``).
 
@@ -24,19 +24,17 @@ tuples into zero or more; ``flat(n1, n2, tau, delta=[0, 0])`` builds an
 uncropped tuple: zero-distance for labels, inverses, node filters, negation
 gaps and repetition identities, (domain, delta) for navigation.  Every join
 probes only the tuples of its bucket whose time interval meets the hull of
-tau + delta, where u1 can arrive.  U^t alone adds ``nav(G, delta)``; U^d
-alone adds ``ordered``, set over dense time, where its join can fail, which
-walks the pairs in canonical order, so that an error always cites the same
-interval, and ``nav_join``, a join with a trailing navigation fused into a
-unary rule.
+tau + delta, where u1 can arrive.  U^t alone adds ``nav(G, delta)``; U^d,
+whose rules U^td shares, adds ``nav_join``, a join with a trailing
+navigation as one unary rule, and over dense time ``ordered``: pairs go in
+canonical order, so that an error always cites the same interval.
 
 Navigation T[a, b] is built once, with placeholder nodes that the recursion
 gives each node n as (n, n), as the paper defines it: (domain, [a, b])
 composed with the domain rectangle, ``join(flat(D, [a, b]), flat(D))``.
 U^t alone has its own ``nav``, one such join per distance, since its tuples
 hold one distance each.  ``_per_departure`` composes a wider delta at each
-departure that lands: the U^d and U^td joins do, and so does U^d's
-``nav_join`` for a group that leaves the domain.
+departure that lands, in U^d's join and in its ``nav_join``.
 
 Two kinds of work are shared, each for no longer than it is needed.  Within
 one evaluation every distinct leaf subquery (label, node predicate, time
@@ -357,27 +355,38 @@ _T_RULES = _Rules(_join_fixed, nav=_nav_t)
 
 
 # --------------------------------------------------------------------------
-# U^d
+# U^d and U^td
 # --------------------------------------------------------------------------
 #
 # A U^d group (n1, n2, tau, delta) stands for one DTuple per time point of
-# tau.  Node and edge filters give finitely many groups even over dense time;
-# a rule expands a group only where it must, a join and a navigation only at
-# the departures that land, which over dense time is an error unless they
-# are one point.  There groups are expanded in canonical order, so that the
-# error always cites the same interval.
+# tau: it is the U^td rectangle of those points, so ``eval_td`` returns the
+# groups that ``eval_d`` expands.  Node and edge filters give finitely many
+# groups even over dense time; a rule expands a group only where it must, a
+# join and a navigation only at the departures that land, which over dense
+# time is an error unless they are one point.  There groups are expanded in
+# canonical order, so that the error always cites the same interval.
 
 
 def eval_d(G: TemporalGraph, q: q_.Trpq, *, max_iterations: int = MAX_ITERATIONS) -> AnswerSet:
     """Inductive evaluation folding distances: tuples (n1, n2, t, delta)."""
-    q = q_.adapt_query(q, G.discrete)
-    rules = _Rules(partial(_join_d, G.discrete), ordered=not G.discrete, nav_join=_nav_join_d)
-    groups = _evaluate(G, q, rules, max_iterations, {})
+    groups = _groups(G, q, max_iterations)
     out = []
     for g in groups if G.discrete else sorted(groups, key=tuple_sort_key):
         for t in _expand_times(g.tau, G.discrete):
             out.append(DTuple(g.n1, g.n2, t, g.delta))
     return AnswerSet("d", G.mode, out)
+
+
+def eval_td(G: TemporalGraph, q: q_.Trpq, *, max_iterations: int = MAX_ITERATIONS) -> AnswerSet:
+    """Inductive evaluation folding both dimensions into plain rectangles."""
+    if not G.discrete:
+        raise DenseInfeasibleError("dense time: U^td may require infinitely many rectangles")
+    return AnswerSet("td", G.mode, _groups(G, q, max_iterations))
+
+
+def _groups(G: TemporalGraph, q: q_.Trpq, cap: int) -> set:
+    """The answer to q as U^d groups, for ``eval_d`` and ``eval_td``."""
+    return _evaluate(G, q_.adapt_query(q, G.discrete), _D_RULES[G.discrete], cap, {})
 
 
 def _expand_times(tau: Interval, discrete: bool):
@@ -416,6 +425,24 @@ def _join_d(discrete: bool, u1: TDTuple, u2: TDTuple) -> tuple[TDTuple, ...]:
     return _per_departure(u1, u2, discrete)
 
 
+def join_td(u1: TDTuple, u2: TDTuple) -> tuple[TDTuple, ...]:
+    """Composition of two rectangles: one tuple per departure time point.
+
+    The arrival window (tau1 + delta1) n tau2 fixes, per departure time t, an
+    interval of admissible distances; those slices are not constant in t, so
+    the result expands to singleton-time tuples.  Discrete time only.  The
+    public composition, not ``eval_td``'s rule, which is ``_join_d``.
+    """
+    if u1.n2 != u2.n1:
+        return ()
+    for interval in (u1.tau, u1.delta, u2.tau, u2.delta):
+        if not iv.is_discrete_canonical(interval):
+            raise DenseInfeasibleError(
+                "dense time: the U^td join expands per time point and is not finite"
+            )
+    return _per_departure(u1, u2, True)
+
+
 def _nav_join_d(groups, delta: Interval, G) -> set:
     """The unary rule for a join whose right operand is temporal navigation.
 
@@ -437,37 +464,10 @@ def _nav_join_d(groups, delta: Interval, G) -> set:
     return out
 
 
-# --------------------------------------------------------------------------
-# U^td
-# --------------------------------------------------------------------------
-
-
-def join_td(u1: TDTuple, u2: TDTuple) -> tuple[TDTuple, ...]:
-    """Composition of two rectangles: one tuple per departure time point.
-
-    The arrival window (tau1 + delta1) n tau2 fixes, per departure time t, an
-    interval of admissible distances; those slices are not constant in t, so
-    the result expands to singleton-time tuples.  Discrete time only.
-    """
-    if u1.n2 != u2.n1:
-        return ()
-    for interval in (u1.tau, u1.delta, u2.tau, u2.delta):
-        if not iv.is_discrete_canonical(interval):
-            raise DenseInfeasibleError(
-                "dense time: the U^td join expands per time point and is not finite"
-            )
-    return _per_departure(u1, u2, True)
-
-
-def eval_td(G: TemporalGraph, q: q_.Trpq, *, max_iterations: int = MAX_ITERATIONS) -> AnswerSet:
-    """Inductive evaluation folding both dimensions into plain rectangles."""
-    if not G.discrete:
-        raise DenseInfeasibleError("dense time: U^td may require infinitely many rectangles")
-    q = q_.adapt_query(q, True)
-    # join_td is named per call, so rebinding it (as a tracer does) reaches
-    # every join, navigation's too
-    rules = _Rules(join_td)
-    return AnswerSet("td", G.mode, _evaluate(G, q, rules, max_iterations, {}))
+_D_RULES = {  # by G.discrete
+    True: _Rules(partial(_join_d, True), nav_join=_nav_join_d),
+    False: _Rules(partial(_join_d, False), ordered=True, nav_join=_nav_join_d),
+}
 
 
 # --------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import pytest
 from trpq import (
     PointTuple,
     bundled_graph,
+    bundled_query,
     eval_c,
     eval_d,
     eval_direct,
@@ -541,14 +542,53 @@ def test_eval_td_dense_rejected(parallelogram):
 
 @pytest.mark.parametrize("lo, width", [(0, 0), (0, 3), (-2, 6), (5, 1)])
 def test_eval_td_navigation_is_the_join_of_navigation_with_the_domain(lo, width):
-    # T[a,b] is join_td of (domain, [a,b]) with the domain: per time point,
-    # the distances [a,b] allows, as the per-point loop gave them
-    G = graph("discrete", C(lo, lo + width), ("n", "e", "n", [C(lo, lo)]))
+    # T[a,b] is U^d's join of (domain, [a,b]) with the domain: the points the
+    # per-point loop gave, and for T[c,c] one rectangle (D n (D - c), [c,c])
+    # per node, not one tuple per departure
+    G = graph("discrete", C(lo, lo + width), ("n", "e", "m", [C(lo, lo)]))
     for a in range(-width - 2, width + 3):
         for b in range(a, width + 3):
             constructor, shapes = _looped_nav_d(G, C(a, b))
-            want = {constructor("n", "n", *shape) for shape in shapes}
-            assert set(eval_td(G, q_.TimeNav(C(a, b)))) == want, (a, b)
+            want = {constructor(n, n, *shape) for shape in shapes for n in "mn"}
+            got = eval_td(G, q_.TimeNav(C(a, b)))
+            assert unfold(got, "td") == unfold(want, "td"), (a, b)
+            if a == b:
+                departures = iv.intersect(G.domain, iv.shift(G.domain, -a))
+                rectangles = {TDTuple(n, n, departures, C(a, a)) for n in "mn" if departures}
+                assert set(got) == rectangles, a
+
+
+def test_eval_td_expands_to_eval_d():
+    # one rule set: each rectangle of eval_td, read out per time point, is eval_d
+    for seed in range(3000):
+        G, q = random_instance(seed)
+        expanded = {
+            DTuple(u.n1, u.n2, t, u.delta) for u in eval_td(G, q) for t in iv.iter_points(u.tau)
+        }
+        assert expanded == set(eval_d(G, q)), seed
+
+
+def _eval_td_by_join_td(G, q, *, max_iterations=q_.MAX_ITERATIONS):
+    # eval_td as it stood with join_td as its rule, kept verbatim (but for
+    # module prefixes) to check the one that shares U^d's rules
+    if not G.discrete:
+        raise DenseInfeasibleError("dense time: U^td may require infinitely many rectangles")
+    q = q_.adapt_query(q, True)
+    # join_td is named per call, so rebinding it (as a tracer does) reaches
+    # every join, navigation's too
+    rules = ev._Rules(join_td)
+    return ev.AnswerSet("td", G.mode, ev._evaluate(G, q, rules, max_iterations, {}))
+
+
+def test_eval_td_unfolds_as_its_join_td_reference():
+    instances = [random_instance(seed) for seed in range(3000)]
+    for name in ("closure.tg", "running.tg"):  # the discrete bundled graphs
+        for query in ("e/(T[2,2])[1,_]", "e1/T[0,2]/e2"):
+            instances.append((bundled_graph(name), parse_query(query)))
+        for query in ("q1.trpq", "q3.trpq"):
+            instances.append((bundled_graph(name), bundled_query(query)))
+    for k, (G, q) in enumerate(instances):
+        assert unfold(eval_td(G, q), "td") == unfold(_eval_td_by_join_td(G, q), "td"), k
 
 
 # --- join_c -------------------------------------------------------------------
@@ -1434,10 +1474,11 @@ _SHARED_NODES = ("a", "b", "c", "d", "e", "f")
     ("t", False, False), ("t", True, False), ("d", False, False), ("td", False, False),
     ("c", False, False), ("c", True, False),
     ("t", False, True), ("t", True, True), ("d", False, True), ("td", False, True),
-    ("c", False, True), ("c", True, True),
+    ("c", False, True), ("c", True, True), ("join_td", False, False),
 ], ids=[
     "t", "t-dense", "d", "td", "c", "c-dense",
     "t-shared", "t-dense-shared", "d-shared", "td-shared", "c-shared", "c-dense-shared",
+    "join_td",
 ])
 def test_pruned_join_sets_match_plain_bucket_loop(kind, dense, shared):
     rules = {
@@ -1445,14 +1486,16 @@ def test_pruned_join_sets_match_plain_bucket_loop(kind, dense, shared):
         # every join prunes by the hull of tau + delta; d-shared also walks
         # the pairs in canonical order, as dense U^d does
         "d": ev._Rules(join=partial(ev._join_d, True), ordered=shared),
-        "td": ev._Rules(join=join_td),
+        "td": ev._D_RULES[True],  # the rules eval_td runs
+        "join_td": ev._Rules(join=join_td),  # the public per-departure join
         "c": ev._C_RULES,
     }[kind]
     rng = random.Random(f"{kind}-{dense}-shared" if shared else f"{kind}-{dense}")
     make_sets = _shared_shape_sets if shared else _random_join_sets
     joined = 0
     for _ in range(150):
-        A, B = make_sets(rng, "td" if kind == "d" else kind, dense)  # d joins td-shaped groups
+        # d and join_td join td-shaped groups
+        A, B = make_sets(rng, "td" if kind in ("d", "join_td") else kind, dense)
         if kind == "t":  # U^t joins rectangles whose delta is the point [d, d]
             A, B = [as_td(u) for u in A], [as_td(u) for u in B]
         expected = _reference_join_sets(A, B, rules.join)
@@ -1698,7 +1741,7 @@ def test_each_label_leaf_is_built_once_per_evaluation(monkeypatch, kind, evaluat
 
 
 @pytest.mark.parametrize("query, buckets, buckets_d", [
-    ("e/T[1,3]/e/T[1,3]/e", 2, 1),  # e and T[1,3]; U^d fuses navigation into the join
+    ("e/T[1,3]/e/T[1,3]/e", 2, 1),  # e and T[1,3]; U^d and U^td fuse navigation into the join
     ("e/e + f/e", 1, 1),
     ("e[1,3]/e", 1, 1),
     ("e/(e/f)/(e/f)", 3, 3),  # f once, and the subtree e/f at each of its occurrences
@@ -1716,7 +1759,7 @@ def test_each_leaf_is_bucketed_once_per_evaluation(monkeypatch, kind, evaluator,
     monkeypatch.setattr(ev, "_buckets", counting)
     got = evaluator(TWO_LABELS, parse_query(query))
     monkeypatch.undo()
-    assert len(calls) == (buckets_d if kind == "d" else buckets)
+    assert len(calls) == (buckets_d if kind in ("d", "td") else buckets)
     assert unfold(got, kind) == eval_direct(TWO_LABELS, parse_query(query))
 
 
