@@ -36,14 +36,14 @@ U^t alone has its own ``nav``, one such join per distance, since its tuples
 hold one distance each.  ``_per_departure`` composes a wider delta at each
 departure that lands, in U^d's join and in its ``nav_join``.
 
-Two kinds of work are shared, each for no longer than it is needed.  Within
-one evaluation every distinct leaf subquery (label, node predicate, time
-bound, navigation) is built once, from the graph's label index, and bucketed
-once when it is a join's right operand: ``e/e/e`` builds and buckets ``e``
-once.  Within one join, the time fields of a result depend only on the two
-operands' time fields, never on their nodes, so each distinct pair of time
-shapes is joined once and copied to the other node pairs that share it;
-every join actually made still checks its operands and its result.
+Two kinds of work are shared.  Each distinct leaf subquery is built once,
+and bucketed once as a join's right operand: ``e/e/e`` builds and buckets
+``e`` once.  A label's set and buckets depend only on the graph and
+``rules.flat``, so the graph keeps them for later evaluations; other leaves
+hold query constants and last one evaluation.  Within one join, a result's
+time fields depend only on the operands' time fields, so each distinct pair
+of time shapes is joined once and copied, canonical form and all, to the
+other node pairs; every join actually made still checks operands and result.
 """
 
 from __future__ import annotations
@@ -133,17 +133,14 @@ _LEAVES = (q_.Label, q_.Pred, q_.LeqTime, q_.TimeNav)
 def _evaluate(G, q, rules: _Rules, cap: int, leaves: dict) -> set:
     """The answer set of q under one representation's rules.
 
-    ``leaves`` memoises leaf subqueries by value for one evaluation: each
-    evaluator passes a new dict, so ``e/e/e`` builds ``e`` once and nothing
-    outlives the call.  Leaves alone are keyed, because their hash is
-    shallow.  The sets and buckets handed out are shared: no caller may
-    change them.
+    Leaf subqueries are memoised by value (``_memo``): a label of G in G,
+    for every later evaluation; any other leaf in ``leaves``, a new dict per
+    evaluation.  Leaves alone are keyed, because their hash is shallow.  The
+    frozen sets and the buckets handed out are shared: no caller may change
+    them.
     """
     if isinstance(q, _LEAVES):
-        out = leaves.get(q)
-        if out is None:
-            out = leaves[q] = _leaf(G, q, rules)
-        return out
+        return _memo(G, q, rules, leaves, "set", lambda: _leaf(G, q, rules))
     if isinstance(q, q_.Inverse):
         return {rules.flat(u.n2, u.n1, u.tau) for u in _evaluate(G, q.edge, rules, cap, leaves)}
     if isinstance(q, q_.Test):
@@ -182,37 +179,42 @@ def _bucketed(G, q, rules: _Rules, cap: int, leaves: dict) -> tuple[set, dict]:
     out = _evaluate(G, q, rules, cap, leaves)
     if not isinstance(q, _LEAVES):
         return out, _buckets(out)
-    key = ("buckets", q)
-    buckets = leaves.get(key)
-    if buckets is None:
-        buckets = leaves[key] = _buckets(out)
-    return out, buckets
+    return out, _memo(G, q, rules, leaves, "buckets", lambda: _buckets(out))
 
 
-def _leaf(G, q, rules: _Rules) -> set:
+def _memo(G, q, rules: _Rules, leaves: dict, what: str, build: Callable):
+    """Leaf q's ``what``, built once: kept in G for a label of G, else in ``leaves``."""
+    memo = G._leaves if isinstance(q, q_.Label) and q.name in G._by_label else leaves
+    key = (rules.flat, what, q)
+    if key not in memo:
+        memo[key] = build()
+    return memo[key]
+
+
+def _leaf(G, q, rules: _Rules) -> frozenset:
     """The answer set of a leaf subquery; not recursive."""
     nodes, domain = G.nodes, G.domain
     if isinstance(q, q_.Label):
-        return {
+        return frozenset(
             rules.flat(s, o, tau)
             for s, o, validity in G.triples_with_label(q.name)
             for tau in validity
-        }
+        )
     if isinstance(q, q_.Pred):
         matching = [q.target] if q.equals else [n for n in nodes if n != q.target]
-        return {rules.flat(n, n, domain) for n in matching}
+        return frozenset(rules.flat(n, n, domain) for n in matching)
     if isinstance(q, q_.LeqTime):
         # the part of the domain at or before the bound
         window = iv.intersect(domain, iv.closed(min(domain.lo, q.bound), q.bound))
-        return set() if window is None else {rules.flat(n, n, window) for n in nodes}
+        return frozenset(() if window is None else (rules.flat(n, n, window) for n in nodes))
     # temporal navigation: (domain, delta) composed with the domain rectangle
     if not nodes:
-        return set()  # no node to navigate from, so no dense-time error either
+        return frozenset()  # no node to navigate from, so no dense-time error either
     if rules.nav is not None:
         navs = rules.nav(G, q.delta)
     else:
         navs = rules.join(rules.flat("", "", domain, delta=q.delta), rules.flat("", "", domain))
-    return {type(u)(n, n, *u[2:]) for u in navs for n in nodes}
+    return frozenset(type(u)(n, n, *u[2:]) for u in navs for n in nodes)
 
 
 def _buckets(B) -> dict:
@@ -267,8 +269,8 @@ def _join_sets(A, buckets, rules: _Rules) -> set:
             if results is None:
                 results = joined[key] = join(u1, u2)
                 out.update(results)
-            else:
-                out.update(type(u)(u1.n1, u2.n2, *u[2:]) for u in results)
+            else:  # canonical form never reads the nodes, so it is not redone
+                out.update(u._make((u1.n1, u2.n2, *u[2:])) for u in results)
     return out
 
 

@@ -34,8 +34,8 @@ class TemporalGraph:
     The nodes and a label index are derived from the facts once, here, so
     that evaluation never rescans them.  So is, over dense time, the lcm of
     the denominators of all its endpoints: the graph's share of the integer
-    grid that ``eval_c`` evaluates on.  ``_grids`` keeps the graph scaled
-    onto each grid it was evaluated on.
+    grid that ``eval_c`` evaluates on.  ``_grids`` keeps the graph scaled onto
+    each grid used, ``_leaves`` each label's answer set and buckets per rule set.
     """
 
     mode: str
@@ -46,6 +46,7 @@ class TemporalGraph:
     _by_label: dict[str, tuple] = field(init=False, repr=False)
     _denominator: int = field(init=False, repr=False, compare=False)
     _grids: dict[int, "TemporalGraph"] = field(init=False, repr=False, compare=False)
+    _leaves: dict[tuple, object] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         by_label: dict[str, list] = {}
@@ -76,6 +77,7 @@ class TemporalGraph:
             denominators = {x.denominator for i in intervals for x in (i.lo, i.hi)}
         object.__setattr__(self, "_denominator", math.lcm(*denominators))
         object.__setattr__(self, "_grids", {})
+        object.__setattr__(self, "_leaves", {})
 
     @property
     def discrete(self) -> bool:

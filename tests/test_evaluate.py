@@ -30,8 +30,9 @@ from trpq.errors import (
     EmptyIntervalError,
     FixpointLimitError,
     InvalidTupleError,
+    TrpqError,
 )
-from trpq.graph import TemporalGraph, graph_nodes, scale_graph
+from trpq.graph import TemporalGraph, graph_nodes, scale_graph, serialize_graph
 from trpq.query import scale_query
 from trpq.tuples import (
     CTuple,
@@ -1705,13 +1706,16 @@ def test_domain_wide_navigation_equals_navigation_across_the_domain(running, kin
 
 # --- leaf memo -------------------------------------------------------------------
 
-TWO_LABELS = graph(
-    "discrete", C(0, 6),
-    ("a", "e", "b", [C(0, 3)]),
-    ("b", "e", "c", [C(1, 4)]),
-    ("b", "e", "b", [C(0, 1), C(4, 5)]),
-    ("c", "f", "a", [C(2, 6)]),
-)
+
+def _two_labels():
+    # a new graph each time, so that the labels it keeps start empty
+    return graph(
+        "discrete", C(0, 6),
+        ("a", "e", "b", [C(0, 3)]),
+        ("b", "e", "c", [C(1, 4)]),
+        ("b", "e", "b", [C(0, 1), C(4, 5)]),
+        ("c", "f", "a", [C(2, 6)]),
+    )
 
 
 @pytest.mark.parametrize("query, labels", [
@@ -1731,13 +1735,20 @@ def test_each_label_leaf_is_built_once_per_evaluation(monkeypatch, kind, evaluat
         return original(self, label)
 
     monkeypatch.setattr(TemporalGraph, "triples_with_label", counting)
-    q = parse_query(query)
-    for _ in range(2):  # the memo lives for one evaluation only
+    G, q = _two_labels(), parse_query(query)
+    got = evaluator(G, q)
+    assert Counter(calls) == labels
+    # the graph keeps what it read: t, d and td build the same flat tuples and
+    # c its own cropped ones, so a label is read once per graph and flat kind
+    flats = {kind == "c"}
+    for other, evaluate in [(kind, evaluator), *EVALUATORS]:
         calls.clear()
-        got = evaluator(TWO_LABELS, q)
-        assert Counter(calls) == labels
+        evaluate(G, q)
+        cropped = other == "c"
+        assert Counter(calls) == (Counter() if cropped in flats else labels), other
+        flats.add(cropped)
     monkeypatch.undo()
-    assert unfold(got, kind) == eval_direct(TWO_LABELS, q)
+    assert unfold(got, kind) == eval_direct(G, q)
 
 
 @pytest.mark.parametrize("query, buckets, buckets_d", [
@@ -1757,10 +1768,59 @@ def test_each_leaf_is_bucketed_once_per_evaluation(monkeypatch, kind, evaluator,
         return original(B)
 
     monkeypatch.setattr(ev, "_buckets", counting)
-    got = evaluator(TWO_LABELS, parse_query(query))
+    G, q = _two_labels(), parse_query(query)
+    counts = []
+    for _ in range(2):
+        calls.clear()
+        got = evaluator(G, q)
+        counts.append(len(calls))
     monkeypatch.undo()
-    assert len(calls) == (buckets_d if kind in ("d", "td") else buckets)
-    assert unfold(got, kind) == eval_direct(TWO_LABELS, parse_query(query))
+    # each query buckets one label, which the graph keeps; T[1,3] and the
+    # subtree e/f are bucketed again in each evaluation
+    first = buckets_d if kind in ("d", "td") else buckets
+    assert counts == [first, first - 1]
+    assert unfold(got, kind) == eval_direct(G, q)
+
+
+def _rendered(evaluate, G, q, **options):
+    try:
+        return evaluate(G, q, **options).render()
+    except TrpqError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_label_leaves_kept_by_the_graph_change_no_answer():
+    # one graph object serves every evaluation, a freshly loaded copy each one
+    for seed in range(500):
+        G, q = random_instance(seed)
+        for evaluate in [eval_c, eval_t, eval_d, eval_td] * 2:
+            fresh = load_graph(serialize_graph(G))
+            assert _rendered(evaluate, G, q) == _rendered(evaluate, fresh, q), (seed, evaluate)
+    # dense c evaluates on the graph's integer-grid copy, which keeps its own labels
+    grids = 0
+    for steps in _STEPS.values():
+        for seed in range(100):
+            G, q = _random_stepped_instance(seed, steps)
+            for evaluate in [eval_c, eval_d] * 2:
+                fresh = load_graph(serialize_graph(G))
+                got = _rendered(evaluate, G, q, max_iterations=25)
+                assert got == _rendered(evaluate, fresh, q, max_iterations=25), (seed, evaluate)
+            grids += any(grid._leaves for grid in G._grids.values())
+    assert grids > 100
+
+
+def test_the_graph_keeps_only_the_leaves_of_its_own_labels():
+    G = _two_labels()
+    navs = [f"T[{a},{a + w}]" for a in range(-5, 5) for w in range(5)]
+    queries = ["g", "e/g/f", "g^- + e", "(=a)/g[1,_]", *(f"e/{nav}/f" for nav in navs)]
+    for text in queries:
+        for _, evaluator in EVALUATORS:
+            evaluator(G, parse_query(text))
+    assert len(set(navs)) == 50
+    assert {q for _, _, q in G._leaves} == {q_.Label("e"), q_.Label("f")}
+    assert {flat for flat, _, _ in G._leaves} == {ev._flat_td, ev._uncropped}
+    sets = [out for (_, what, _), out in G._leaves.items() if what == "set"]
+    assert len(sets) == 4 and all(type(out) is frozenset for out in sets)
 
 
 @pytest.mark.parametrize("kind, evaluator", EVALUATORS, ids=["t", "d", "td", "c"])

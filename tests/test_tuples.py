@@ -7,7 +7,7 @@ from typing import Iterable
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trpq import eval_direct
+from trpq import eval_direct, join_c
 from trpq import intervals as iv
 from trpq.errors import DenseInfeasibleError, EmptyIntervalError
 from trpq.intervals import Interval, Number
@@ -189,6 +189,34 @@ def test_ctuple_canonical_form_matches_the_post_init_reference():
         seen["e", "above" if e > tau.hi else "inside" if e >= tau.lo else
              "slid" if got.e != e else "stays"] += 1
     assert len(seen) == 8 and min(seen.values()) > 1_000, seen
+
+
+def _valid_ctuple(rng, n1, n2):
+    while True:
+        tau = random_mixed_interval(rng, HALF_STEPS)
+        delta = random_mixed_interval(rng, HALF_STEPS[6:19])  # within [-3, 3]
+        u = CTuple(n1, n2, tau, delta, rng.choice(HALF_STEPS), rng.choice(HALF_STEPS))
+        if ctuple_valid(u):
+            return u
+
+
+def test_joined_ctuples_copied_to_new_nodes_need_no_canonical_form():
+    # a join made once is copied to other node pairs with _make, which skips
+    # CTuple's canonical form: that form must never read the nodes
+    rng = random.Random(20261019)
+    joined = []
+    while len(joined) < 1_000:
+        u = join_c(_valid_ctuple(rng, "a", "b"), _valid_ctuple(rng, "b", "c"))
+        if u is not None:
+            joined.append(u)
+    nodes = ["a", "c", "n0", "zz", "A"]
+    for u in joined:
+        for n1 in nodes:
+            for n2 in nodes:
+                copied, made = u._make((n1, n2, *u[2:])), CTuple(n1, n2, *u[2:])
+                assert copied == made and repr(copied) == repr(made), (u, n1, n2)
+    cropped = sum(u.b > u.tau.lo or u.e < u.tau.hi for u in joined)
+    assert cropped > 250, cropped
 
 
 @st.composite
