@@ -8,13 +8,14 @@ tuples whose unfolding is exactly the direct answer set:
 * ``eval_d``  in U^d  (over dense time, feasible only when no step needs to
   enumerate the points of a non-singleton interval);
 * ``eval_td`` in U^td (discrete time only: the groups of ``eval_d`` as they are);
-* ``eval_c``  in U^c  (both modes; the representation closed under join;
-  over dense time it runs on a common integer grid, see ``eval_c``).
+* ``eval_c``  in U^c  (both modes; the representation closed under join).
 
-All four share one recursion, ``_evaluate``, on two tuple shapes: cropped
-rectangles in U^c, plain rectangles (``TDTuple``) in the others.  A U^t
-rectangle has the distance side [d, d] and is read out as (n1, n2, tau, d);
-a U^d group is read out as one (n1, n2, t, delta) per time point of tau.
+All four reach one recursion, ``_evaluate``, through one entry point,
+``_answers``, which runs dense time on a common integer grid.  It has two
+tuple shapes: cropped rectangles in U^c, plain rectangles (``TDTuple``) in
+the others.  A U^t rectangle has the distance side [d, d] and is read out
+as (n1, n2, tau, d); a U^d group is read out as one (n1, n2, t, delta) per
+time point of tau.
 Unions are set unions, a join chain folds its operands left to right,
 bucketing each right operand by source node, and repetition iterates join
 rounds semi-naively until a round adds nothing, with a round cap against
@@ -24,17 +25,17 @@ tuples into zero or more; ``flat(n1, n2, tau, delta=[0, 0])`` builds an
 uncropped tuple: zero-distance for labels, inverses, node filters, negation
 gaps and repetition identities, (domain, delta) for navigation.  Every join
 probes only the tuples of its bucket whose time interval meets the hull of
-tau + delta, where u1 can arrive.  U^t alone adds ``nav(G, delta)``; U^d,
-whose rules U^td shares, adds ``nav_join``, a join with a trailing
-navigation as one unary rule, and over dense time ``ordered``: pairs go in
-canonical order, so that an error always cites the same interval.
+tau + delta, where u1 can arrive.  U^d, whose rules U^td shares, adds
+``nav_join``, a join with a trailing navigation as one unary rule, and over
+dense time ``ordered``: pairs go in canonical order, so that an error always
+cites the same interval.
 
 Navigation T[a, b] is built once, with placeholder nodes that the recursion
 gives each node n as (n, n), as the paper defines it: (domain, [a, b])
 composed with the domain rectangle, ``join(flat(D, [a, b]), flat(D))``.
-U^t alone has its own ``nav``, one such join per distance, since its tuples
-hold one distance each.  ``_per_departure`` composes a wider delta at each
-departure that lands, in U^d's join and in its ``nav_join``.
+U^t's join makes one fixed hop per distance that D can span, since its
+tuples hold one distance each.  ``_per_departure`` composes a wider delta at
+each departure that lands, in U^d's join and in its ``nav_join``.
 
 Two kinds of work are shared.  Each distinct leaf subquery is built once,
 and bucketed once as a join's right operand: ``e/e/e`` builds and buckets
@@ -113,11 +114,10 @@ class AnswerSet:
 
 
 class _Rules(NamedTuple):
-    """What one representation supplies to the shared recursion (see the module docstring)."""
+    """A representation's join, and each other rule it changes (see the module docstring)."""
 
     join: Callable
     flat: Callable = _flat_td
-    nav: Optional[Callable] = None
     ordered: bool = False
     nav_join: Optional[Callable] = None
 
@@ -210,10 +210,7 @@ def _leaf(G, q, rules: _Rules) -> frozenset:
     # temporal navigation: (domain, delta) composed with the domain rectangle
     if not nodes:
         return frozenset()  # no node to navigate from, so no dense-time error either
-    if rules.nav is not None:
-        navs = rules.nav(G, q.delta)
-    else:
-        navs = rules.join(rules.flat("", "", domain, delta=q.delta), rules.flat("", "", domain))
+    navs = rules.join(rules.flat("", "", domain, delta=q.delta), rules.flat("", "", domain))
     return frozenset(type(u)(n, n, *u[2:]) for u in navs for n in nodes)
 
 
@@ -306,6 +303,48 @@ def _repeat_sets(base, m, n, identity, join_base, cap):
     return out | total
 
 
+def _answers(G: TemporalGraph, q: q_.Trpq, rules: _Rules, cap: int):
+    """The answer to q under ``rules``; every evaluator's one way into ``_evaluate``.
+
+    Over dense time it runs on a common integer grid: L is the lcm of the
+    denominators of the domain's, the facts' and the query's time constants.
+    When L > 1, G and q are scaled by L, evaluated in ``int`` arithmetic, and
+    each answer is scaled back by 1/L, integral endpoints as ``int``.
+    Positive scaling maps dense time onto itself and keeps every comparison,
+    so the canonical form of each tuple, the rounds of each closure and the
+    answer are those of evaluating G and q as they are.  G keeps its scaled
+    copy for the next query; a discrete graph, or L = 1, is evaluated as is.
+    """
+    q = q_.adapt_query(q, G.discrete)
+    grid = 1 if G.discrete else math.lcm(G._denominator, _denominator(q))
+    if grid > 1:
+        try:
+            scaled = _evaluate(_on_grid(G, grid), q_.scale_query(q, grid), rules, cap, {})
+            return _scale_back(scaled, grid)
+        except DenseInfeasibleError:
+            # the error would cite a scaled interval; dense U^d probes pairs in canonical
+            # order, which scaling keeps, so off the grid it fails at the same pair
+            pass
+    return _evaluate(G, q, rules, cap, {})
+
+
+def _denominator(q: q_.Trpq) -> int:
+    """The lcm of the denominators of q's navigation endpoints and time bounds."""
+    found = {1}
+    for leaf in q_.time_leaves(q):
+        if isinstance(leaf, q_.TimeNav):
+            found.update((leaf.delta.lo.denominator, leaf.delta.hi.denominator))
+        else:
+            found.add(leaf.bound.denominator)
+    return math.lcm(*found)
+
+
+def _scale_back(answers, grid: int) -> list:
+    """The answers with each time value divided by ``grid``; their canonical form holds as is."""
+    scaled = cache(partial(iv.scale, factor=Fraction(1, grid)))
+    return [u._make((u.n1, u.n2, *map(scaled, u[2:]))) for u in answers]
+
+
 # --------------------------------------------------------------------------
 # U^t
 # --------------------------------------------------------------------------
@@ -322,26 +361,24 @@ def _check_dense_t_feasible(q: q_.Trpq):
 
 def eval_t(G: TemporalGraph, q: q_.Trpq, *, max_iterations: int = MAX_ITERATIONS) -> AnswerSet:
     """Inductive evaluation folding time points: tuples (n1, n2, tau, d)."""
-    q = q_.adapt_query(q, G.discrete)
     if not G.discrete:
         _check_dense_t_feasible(q)
-    rects = _evaluate(G, q, _T_RULES, max_iterations, {})
+    rects = _answers(G, q, _T_RULES, max_iterations)
     return AnswerSet("t", G.mode, (TTuple(u.n1, u.n2, u.tau, u.delta.lo) for u in rects))
 
 
-def _nav_t(G, delta: Interval) -> list[TDTuple]:
-    """Per distance d in delta n (domain - domain), (domain, [d, d]) joined with the domain.
+def _join_t(u1: TDTuple, u2: TDTuple) -> tuple[TDTuple, ...]:
+    """U^t's join: one fixed hop per distance of u1 in tau2 - tau1.
 
-    Over discrete time those are integer points; over dense time delta is one
-    point, checked up front.
+    Only navigation has more than one, over discrete time (dense is checked up front).
     """
-    spans = iv.intersect(delta, iv.mdiff(G.domain, G.domain))
+    if u1.delta.is_singleton:
+        return _join_fixed(u1, u2)
+    spans = iv.intersect(u1.delta, iv.mdiff(u2.tau, u1.tau))
     if spans is None:
-        return []
-    distances = iv.iter_points(spans) if G.discrete else (spans.lo,)
-    domain = _flat_td("", "", G.domain)
-    navs = (TDTuple("", "", G.domain, iv.point(d)) for d in distances)
-    return [u for nav in navs for u in _join_fixed(nav, domain)]
+        return ()
+    hops = (u1._replace(delta=iv.point(d)) for d in iv.iter_points(spans))
+    return tuple(u for hop in hops for u in _join_fixed(hop, u2))
 
 
 def _join_fixed(u1: TDTuple, u2: TDTuple) -> tuple[TDTuple, ...]:
@@ -353,7 +390,7 @@ def _join_fixed(u1: TDTuple, u2: TDTuple) -> tuple[TDTuple, ...]:
     return (TDTuple(u1.n1, u2.n2, shared, iv.shift(u2.delta, c)),)
 
 
-_T_RULES = _Rules(_join_fixed, nav=_nav_t)
+_T_RULES = _Rules(_join_t)
 
 
 # --------------------------------------------------------------------------
@@ -371,7 +408,7 @@ _T_RULES = _Rules(_join_fixed, nav=_nav_t)
 
 def eval_d(G: TemporalGraph, q: q_.Trpq, *, max_iterations: int = MAX_ITERATIONS) -> AnswerSet:
     """Inductive evaluation folding distances: tuples (n1, n2, t, delta)."""
-    groups = _groups(G, q, max_iterations)
+    groups = _answers(G, q, _D_RULES[G.discrete], max_iterations)
     out = []
     for g in groups if G.discrete else sorted(groups, key=tuple_sort_key):
         for t in _expand_times(g.tau, G.discrete):
@@ -383,12 +420,7 @@ def eval_td(G: TemporalGraph, q: q_.Trpq, *, max_iterations: int = MAX_ITERATION
     """Inductive evaluation folding both dimensions into plain rectangles."""
     if not G.discrete:
         raise DenseInfeasibleError("dense time: U^td may require infinitely many rectangles")
-    return AnswerSet("td", G.mode, _groups(G, q, max_iterations))
-
-
-def _groups(G: TemporalGraph, q: q_.Trpq, cap: int) -> set:
-    """The answer to q as U^d groups, for ``eval_d`` and ``eval_td``."""
-    return _evaluate(G, q_.adapt_query(q, G.discrete), _D_RULES[G.discrete], cap, {})
+    return AnswerSet("td", G.mode, _answers(G, q, _D_RULES[True], max_iterations))
 
 
 def _expand_times(tau: Interval, discrete: bool):
@@ -522,41 +554,8 @@ def join_c(u1: CTuple, u2: CTuple) -> Optional[CTuple]:
 
 
 def eval_c(G: TemporalGraph, q: q_.Trpq, *, max_iterations: int = MAX_ITERATIONS) -> AnswerSet:
-    """Inductive evaluation with cropped rectangles; finite over both modes.
-
-    Over dense time it runs on a common integer grid.  L is the lcm of the
-    denominators of the endpoints of the domain, the facts, and the query's
-    navigation intervals and time bounds.  When L > 1, the graph and the
-    query are scaled by L, evaluated in ``int`` arithmetic, and each answer
-    is scaled back by 1/L, integral endpoints as ``int``.  Positive scaling
-    maps dense time onto itself and keeps every comparison, so the canonical
-    form of each tuple, the rounds of each closure and the answer are those
-    of evaluating G and q as they are.  G keeps its scaled copy for the next
-    query; a discrete graph, or L = 1, is evaluated as it is.
-    """
-    q = q_.adapt_query(q, G.discrete)
-    grid = 1 if G.discrete else math.lcm(G._denominator, _denominator(q))
-    if grid == 1:
-        return AnswerSet("c", G.mode, _evaluate(G, q, _C_RULES, max_iterations, {}))
-    scaled = _evaluate(_on_grid(G, grid), q_.scale_query(q, grid), _C_RULES, max_iterations, {})
-    return AnswerSet("c", G.mode, _scale_back(scaled, grid))
-
-
-def _denominator(q: q_.Trpq) -> int:
-    """The lcm of the denominators of q's navigation endpoints and time bounds."""
-    found = {1}
-    for leaf in q_.time_leaves(q):
-        if isinstance(leaf, q_.TimeNav):
-            found.update((leaf.delta.lo.denominator, leaf.delta.hi.denominator))
-        else:
-            found.add(leaf.bound.denominator)
-    return math.lcm(*found)
-
-
-def _scale_back(answers, grid: int) -> list[CTuple]:
-    """The answers with every time value divided by ``grid``, each distinct value once."""
-    scaled = cache(partial(iv.scale, factor=Fraction(1, grid)))
-    return [CTuple(u.n1, u.n2, *map(scaled, u[2:])) for u in answers]
+    """Inductive evaluation with cropped rectangles; finite over both modes."""
+    return AnswerSet("c", G.mode, _answers(G, q, _C_RULES, max_iterations))
 
 
 def _uncropped(n1: str, n2: str, tau: Interval, delta: Interval = _ZERO) -> CTuple:

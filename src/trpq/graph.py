@@ -34,7 +34,7 @@ class TemporalGraph:
     The nodes and a label index are derived from the facts once, here, so
     that evaluation never rescans them.  So is, over dense time, the lcm of
     the denominators of all its endpoints: the graph's share of the integer
-    grid that ``eval_c`` evaluates on.  ``_grids`` keeps the graph scaled onto
+    grid that every evaluator runs on.  ``_grids`` keeps the graph scaled onto
     each grid used, ``_leaves`` each label's answer set and buckets per rule set.
     """
 

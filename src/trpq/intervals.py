@@ -7,9 +7,9 @@ bounded, nonempty and delimiter-aware.  Discrete-time callers normalise to
 closed integer bounds with :func:`normalize_discrete`; over the integers every
 nonempty interval has that form, which makes equality and coalescing canonical.
 :func:`scale` multiplies a number or an interval by a positive factor and
-returns an integral value as an ``int``; ``eval_c`` uses it to move a dense
-evaluation onto a common integer grid and back, so that ``int`` arithmetic
-replaces ``Fraction``.
+returns an integral value as an ``int``; every evaluator uses it to move a
+dense evaluation onto a common integer grid and back, so that ``int``
+arithmetic replaces ``Fraction``.
 
 >>> msum(closed(100, 101), closed(3, 5))
 Interval(103, 106)

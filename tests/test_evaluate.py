@@ -45,6 +45,7 @@ from trpq.tuples import (
     ctuple_valid,
     delta_at,
     render_tuple,
+    tuple_sort_key,
     unfold,
 )
 
@@ -1034,30 +1035,54 @@ def _random_stepped_instance(seed, steps):
     return TemporalGraph("dense", domain, facts), q
 
 
-def _c_outcome(evaluate):
+def _outcome(evaluate):
     try:
         return evaluate()
-    except FixpointLimitError as exc:
-        return f"FixpointLimitError: {exc}"
+    except (FixpointLimitError, DenseInfeasibleError) as exc:
+        return f"{type(exc).__name__}: {exc}"
 
 
-def _integral_as_int(u: CTuple) -> CTuple:
+def _integral_as_int(u):
     # the plain evaluation can leave Fraction(n, 1) where a sum of fractions is whole
-    def number(x):
+    def value(x):
+        if isinstance(x, iv.Interval):
+            return iv.Interval(value(x.lo), value(x.hi), x.left_closed, x.right_closed)
         return int(x) if iv.is_integral(x) else x
 
-    def interval(x):
-        return iv.Interval(number(x.lo), number(x.hi), x.left_closed, x.right_closed)
-
-    return CTuple(u.n1, u.n2, interval(u.tau), interval(u.delta), number(u.b), number(u.e))
+    return u._make((u.n1, u.n2, *map(value, u[2:])))
 
 
-def _assert_grid_matches_plain(G, q, cap):
-    got = _c_outcome(lambda: eval_c(G, q, max_iterations=cap))
-    want = _c_outcome(
-        lambda: ev.AnswerSet("c", G.mode, ev._evaluate(G, q, ev._C_RULES, cap, {}))
-    )
-    assert got == want
+def _plain_c(G, q, cap):
+    return ev.AnswerSet("c", G.mode, ev._evaluate(G, q, ev._C_RULES, cap, {}))
+
+
+def _plain_t(G, q, cap):
+    # eval_t off the grid: the dense check, the recursion and the readout
+    ev._check_dense_t_feasible(q)
+    rects = ev._evaluate(G, q, ev._T_RULES, cap, {})
+    return ev.AnswerSet("t", G.mode, (TTuple(u.n1, u.n2, u.tau, u.delta.lo) for u in rects))
+
+
+def _plain_d(G, q, cap):
+    # eval_d off the grid: each group in canonical order, expanded per time point
+    groups = sorted(ev._evaluate(G, q, ev._D_RULES[False], cap, {}), key=tuple_sort_key)
+    return ev.AnswerSet("d", G.mode, (
+        DTuple(g.n1, g.n2, t, g.delta) for g in groups for t in ev._expand_times(g.tau, False)
+    ))
+
+
+_ON_AND_OFF_GRID = {
+    "c": (eval_c, _plain_c),
+    "t": (eval_t, _plain_t),
+    "d": (eval_d, _plain_d),
+}
+
+
+def _assert_grid_matches_plain(G, q, cap, kind="c"):
+    evaluate, plain = _ON_AND_OFF_GRID[kind]
+    got = _outcome(lambda: evaluate(G, q, max_iterations=cap))
+    want = _outcome(lambda: plain(G, q, cap))
+    assert got == want  # an error by its full text
     if not isinstance(want, str):
         assert got.render() == want.render()
         assert [repr(u) for u in got] == [repr(_integral_as_int(u)) for u in want]
@@ -1072,11 +1097,54 @@ def test_eval_c_on_the_integer_grid_matches_the_plain_evaluation(steps):
         G, q = _random_stepped_instance(seed, steps)
         for cap in (1, 2, 25):
             _assert_grid_matches_plain(G, q, cap)
-        capped += isinstance(_c_outcome(lambda: eval_c(G, q, max_iterations=1)), str)
+        capped += isinstance(_outcome(lambda: eval_c(G, q, max_iterations=1)), str)
         grids.update(G._grids.keys())
     lcm = math.lcm(*steps)
     assert all(lcm % grid == 0 for grid in grids)
     assert grids[lcm] > 150 and capped > 5
+
+
+@pytest.mark.parametrize("steps", _STEPS.values(), ids=_STEPS)
+def test_eval_t_and_eval_d_on_the_integer_grid_match_the_plain_evaluation(steps):
+    # the same instances as eval_c's, and the dense U^d errors, which the grid
+    # run hands back to an evaluation off the grid so that they cite the user's interval
+    grids, grid_errors = Counter(), 0
+    for kind in ("t", "d"):
+        for seed in range(300):
+            G, q = _random_stepped_instance(seed, steps)
+            for cap in (2, 25):
+                _assert_grid_matches_plain(G, q, cap, kind)
+            grids[kind] += bool(G._grids)
+            if kind == "d" and G._grids:
+                grid_errors += isinstance(_outcome(lambda: eval_d(G, q)), str)
+    assert grids["t"] > 150 and grids["d"] > 250 and grid_errors > 100
+
+
+@pytest.mark.parametrize("source", ["randgen", "chains", "edges"])
+def test_dense_eval_d_on_the_half_step_grid_matches_the_plain_evaluation(source):
+    grids = 0
+    for seed in range(300):
+        G, q = _random_dense_d_instance(seed, source)
+        _assert_grid_matches_plain(G, q, 25, "d")
+        grids += set(G._grids) == {2}
+    # randgen's endpoints are integers, so it runs off the grid; the others on half steps
+    assert grids == 0 if source == "randgen" else grids > 250
+
+
+def test_a_dense_u_d_error_on_the_grid_cites_the_unscaled_interval():
+    # on the grid of step 1/2 the departure window is [0,1]; the error cites [0,1/2]
+    text = "mode dense\ndomain [0,60]\na e b [0,1/2]\nb f c [2,2]\n"
+    G = load_graph(text)
+    with pytest.raises(DenseInfeasibleError) as err:
+        eval_d(G, parse_query("e/T[3/2,2]/f"))
+    assert str(err.value) == (
+        "dense time: U^d would need one tuple per rational time point of [0,1/2]"
+    )
+    assert set(G._grids) == {2}
+    for evaluate, want in ((eval_t, "t a c [1/2,1/2] 3/2"), (eval_d, "d a c 1/2 [3/2,3/2]")):
+        G = load_graph(text)
+        assert evaluate(G, parse_query("e/T[3/2,3/2]/f")).render() == want
+        assert set(G._grids) == {2}
 
 
 @pytest.mark.parametrize("text", [
@@ -1089,13 +1157,19 @@ def test_eval_c_on_an_integer_graph_with_a_fractional_query_constant(text):
     assert len(eval_c(G, q)) > 0
 
 
-@pytest.mark.parametrize("name", ["running.tg", "running_dense.tg"])
-def test_eval_c_builds_no_grid_for_integer_endpoints(name):
+@pytest.mark.parametrize("kind, name", [
+    (kind, name) for kind in ("t", "d", "td", "c") for name in ("running.tg", "running_dense.tg")
+    if kind != "td" or name == "running.tg"
+])
+def test_no_evaluator_builds_a_grid_for_integer_endpoints(kind, name):
     # the join, closure and folded workloads are discrete, so they never pay for a grid
     G = bundled_graph(name)
-    texts = ("attends/T[0,3]/attends^-", "(attends + attends^-)[1,_]/(<=105)", "!((<=104))/attends")
+    texts = (
+        "attends/T[0,3]/attends^-", "attends/T[2,2]/attends^-",
+        "(attends + attends^-)[1,_]/(<=105)", "!((<=104))/attends",
+    )
     for text in texts:
-        eval_c(G, parse_query(text))
+        _outcome(lambda: ev.EVALUATORS[kind](G, parse_query(text)))
     assert G._grids == {}
 
 
