@@ -37,14 +37,18 @@ U^t's join makes one fixed hop per distance that D can span, since its
 tuples hold one distance each.  ``_per_departure`` composes a wider delta at
 each departure that lands, in U^d's join and in its ``nav_join``.
 
-Two kinds of work are shared.  Each distinct leaf subquery is built once,
+Three kinds of work are shared.  Each distinct leaf subquery is built once,
 and bucketed once as a join's right operand: ``e/e/e`` builds and buckets
 ``e`` once.  A label's set and buckets depend only on the graph and
 ``rules.flat``, so the graph keeps them for later evaluations; other leaves
-hold query constants and last one evaluation.  Within one join, a result's
-time fields depend only on the operands' time fields, so each distinct pair
-of time shapes is joined once and copied, canonical form and all, to the
-other node pairs; every join actually made still checks operands and result.
+hold query constants and last one evaluation.  Navigation, a time bound and
+a node filter, negated or not, have one time shape at every node, so as a
+join's right operand they are not copied per node: their nodes share one
+bucket of their tuples at the placeholder node "".  Within one join, a
+result's time fields depend only on the operands' time fields, so each
+distinct pair of time shapes is joined once and copied, canonical form and
+all, to the other node pairs; every join actually made still checks
+operands and result.
 """
 
 from __future__ import annotations
@@ -128,6 +132,7 @@ class _Rules(NamedTuple):
 
 
 _LEAVES = (q_.Label, q_.Pred, q_.LeqTime, q_.TimeNav)
+_UNIFORM = _LEAVES[1:]
 
 
 def _evaluate(G, q, rules: _Rules, cap: int, leaves: dict) -> set:
@@ -140,7 +145,7 @@ def _evaluate(G, q, rules: _Rules, cap: int, leaves: dict) -> set:
     them.
     """
     if isinstance(q, _LEAVES):
-        return _memo(G, q, rules, leaves, "set", lambda: _leaf(G, q, rules))
+        return _memo(G, q, rules, leaves, "set", lambda: _leaf(G, q, rules, leaves))
     if isinstance(q, q_.Inverse):
         return {rules.flat(u.n2, u.n1, u.tau) for u in _evaluate(G, q.edge, rules, cap, leaves)}
     if isinstance(q, q_.Test):
@@ -162,24 +167,27 @@ def _evaluate(G, q, rules: _Rules, cap: int, leaves: dict) -> set:
             if rules.nav_join is not None and isinstance(part, q_.TimeNav):
                 out = rules.nav_join(out, part.delta, G)
             else:
-                out = _join_sets(out, _bucketed(G, part, rules, cap, leaves)[1], rules)
+                out = _join_sets(out, _bucketed(G, part, rules, cap, leaves), rules)
         return out
     if isinstance(q, q_.Union):
         return set().union(*[_evaluate(G, part, rules, cap, leaves) for part in q.parts])
     if isinstance(q, q_.Repeat):
-        base, buckets = _bucketed(G, q.inner, rules, cap, leaves)
+        base = _evaluate(G, q.inner, rules, cap, leaves)
         identity = {rules.flat(n, n, G.domain) for n in G.nodes} if q.m == 0 else ()
+        buckets = _bucketed(G, q.inner, rules, cap, leaves, base)
         join_base = partial(_join_sets, buckets=buckets, rules=rules)
         return _repeat_sets(base, q.m, q.n, identity, join_base, cap)
     raise TypeError(f"not a query node: {q!r}")
 
 
-def _bucketed(G, q, rules: _Rules, cap: int, leaves: dict) -> tuple[set, dict]:
-    """The answer set of q and ``_buckets`` of it; a leaf's go in the memo too."""
-    out = _evaluate(G, q, rules, cap, leaves)
-    if not isinstance(q, _LEAVES):
-        return out, _buckets(out)
-    return out, _memo(G, q, rules, leaves, "buckets", lambda: _buckets(out))
+def _bucketed(G, q, rules: _Rules, cap: int, leaves: dict, out=None) -> dict:
+    """``_buckets`` of q's answer set ``out`` (evaluated if not given); a leaf's are memoised."""
+    if isinstance(q, _UNIFORM) or isinstance(q, q_.Not) and isinstance(q.inner, q_.Pred):
+        return _memo(G, q, rules, leaves, "buckets", lambda: _uniform(G, q, rules))
+    out = _evaluate(G, q, rules, cap, leaves) if out is None else out
+    if not isinstance(q, q_.Label):
+        return _buckets(out)
+    return _memo(G, q, rules, leaves, "buckets", lambda: _buckets(out))
 
 
 def _memo(G, q, rules: _Rules, leaves: dict, what: str, build: Callable):
@@ -191,49 +199,55 @@ def _memo(G, q, rules: _Rules, leaves: dict, what: str, build: Callable):
     return memo[key]
 
 
-def _leaf(G, q, rules: _Rules) -> frozenset:
-    """The answer set of a leaf subquery; not recursive."""
-    nodes, domain = G.nodes, G.domain
+def _leaf(G, q, rules: _Rules, leaves: Optional[dict] = None) -> frozenset:
+    """The answer set of a leaf subquery; not recursive.  ``leaves`` keeps its ``_uniform``."""
     if isinstance(q, q_.Label):
         return frozenset(
             rules.flat(s, o, tau)
             for s, o, validity in G.triples_with_label(q.name)
             for tau in validity
         )
+    memo = {} if leaves is None else leaves
+    buckets = _memo(G, q, rules, memo, "buckets", lambda: _uniform(G, q, rules))
+    return frozenset(u._make((n, n, *u[2:])) for n, (_, group, _) in buckets.items() for u in group)
+
+
+def _uniform(G, q, rules: _Rules) -> dict:
+    """A node-uniform leaf's buckets: each node n that holds its tuples as (n, n) shares the
+    ``_bucket`` of them at the placeholder node ""."""
+    nodes, domain, flat = G.nodes, G.domain, partial(rules.flat, "", "")
+    shapes = [flat(domain)]  # a node filter's
     if isinstance(q, q_.Pred):
-        matching = [q.target] if q.equals else [n for n in nodes if n != q.target]
-        return frozenset(rules.flat(n, n, domain) for n in matching)
-    if isinstance(q, q_.LeqTime):
-        # the part of the domain at or before the bound
+        nodes = [q.target] if q.equals else [n for n in nodes if n != q.target]
+    elif isinstance(q, q_.Not):  # the complement of a node filter: the domain where it fails
+        nodes = [n for n in nodes if (n == q.inner.target) != q.inner.equals]
+    elif isinstance(q, q_.LeqTime):  # the part of the domain at or before the bound
         window = iv.intersect(domain, iv.closed(min(domain.lo, q.bound), q.bound))
-        return frozenset(() if window is None else (rules.flat(n, n, window) for n in nodes))
-    # temporal navigation: (domain, delta) composed with the domain rectangle
-    if not nodes:
-        return frozenset()  # no node to navigate from, so no dense-time error either
-    navs = rules.join(rules.flat("", "", domain, delta=q.delta), rules.flat("", "", domain))
-    return frozenset(type(u)(n, n, *u[2:]) for u in navs for n in nodes)
+        shapes = [] if window is None else [flat(window)]
+    else:  # navigation: (domain, delta) composed with the domain, if any node navigates
+        shapes = list(rules.join(flat(domain, delta=q.delta), flat(domain))) if nodes else []
+    return dict.fromkeys(nodes, _bucket(shapes)) if shapes else {}
 
 
 def _buckets(B) -> dict:
-    """B grouped by source node into ``(los, tuples, width)`` per node.
-
-    ``tuples`` are sorted by lo(tau), ``los`` are those lower bounds and
-    ``width`` is the widest tau among them.
-    """
+    """B grouped by source node into one ``_bucket`` per node."""
     groups: dict[str, list] = {}
     for u in B:
         groups.setdefault(u.n1, []).append(u)
-    buckets = {}
-    for n, group in groups.items():
-        group.sort(key=lambda u: u.tau.lo)
-        buckets[n] = ([u.tau.lo for u in group], group, max(u.tau.hi - u.tau.lo for u in group))
-    return buckets
+    return {n: _bucket(group) for n, group in groups.items()}
+
+
+def _bucket(group: list) -> tuple:
+    """``(los, tuples, width)``: ``group`` sorted by lo(tau), those lows, and its widest tau."""
+    group.sort(key=lambda u: u.tau.lo)
+    return [u.tau.lo for u in group], group, max(u.tau.hi - u.tau.lo for u in group)
 
 
 def _join_sets(A, buckets, rules: _Rules) -> set:
     """All compositions of a tuple of A with a tuple of B that it chains into.
 
-    ``buckets`` is ``_buckets(B)``.  A tuple u1 of A whose arrivals lie within
+    ``buckets`` is ``_buckets(B)``, or ``_uniform``'s shared bucket, whose tuples
+    stand at "" for (n2 of u1, n2 of u1).  A tuple u1 of A whose arrivals lie within
     the closed hull [lo, hi] of tau + delta can only chain into the tuples of
     its bucket whose tau meets that hull: those with lo(tau) <= hi, which
     start no earlier than lo minus the bucket's widest tau, and with
@@ -244,7 +258,7 @@ def _join_sets(A, buckets, rules: _Rules) -> set:
     The time fields of a join depend only on the operands' time fields (all
     but the two nodes), never on their nodes.  So each distinct pair of time
     shapes is joined once per call, and a later pair with the same shapes
-    takes those results with its own nodes, (n1 of u1, n2 of u2).
+    takes those results with its own nodes, (n1 of u1, n2 of u2 or else of u1).
     """
     join, ordered = rules.join, rules.ordered
     joined: dict = {}  # (time shape of u1, time shape of u2) -> join results
@@ -262,12 +276,15 @@ def _join_sets(A, buckets, rules: _Rules) -> set:
         shape = u1[2:]
         for u2 in probed:
             key = (shape, u2[2:])
+            n2 = u2.n2 or u1.n2
             results = joined.get(key)
             if results is None:
+                if not u2.n1:
+                    u2 = u2._make((n2, n2, *key[1]))
                 results = joined[key] = join(u1, u2)
                 out.update(results)
             else:  # canonical form never reads the nodes, so it is not redone
-                out.update(u._make((u1.n1, u2.n2, *u[2:])) for u in results)
+                out.update(u._make((u1.n1, n2, *u[2:])) for u in results)
     return out
 
 

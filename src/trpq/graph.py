@@ -35,7 +35,7 @@ class TemporalGraph:
     that evaluation never rescans them.  So is, over dense time, the lcm of
     the denominators of all its endpoints: the graph's share of the integer
     grid that every evaluator runs on.  ``_grids`` keeps the graph scaled onto
-    each grid used, ``_leaves`` each label's answer set and buckets per rule set.
+    the latest grid used, ``_leaves`` each label's answer set and buckets per rule set.
     """
 
     mode: str
@@ -68,6 +68,8 @@ class TemporalGraph:
             by_label.setdefault(p, []).append((s, o, validity))
         object.__setattr__(self, "facts", facts)
         node_set = frozenset(x for s, _, o in self.facts for x in (s, o))
+        if "" in node_set:  # the evaluators' placeholder for any node
+            raise GraphParseError("a node name must not be empty")
         object.__setattr__(self, "nodes", tuple(sorted(node_set)))
         object.__setattr__(self, "_node_set", node_set)
         object.__setattr__(self, "_by_label", {p: tuple(v) for p, v in by_label.items()})
@@ -92,11 +94,11 @@ class TemporalGraph:
 
 
 def _on_grid(g: TemporalGraph, factor: int) -> TemporalGraph:
-    """``scale_graph(g, factor, include_domain=True)``, built once per graph and factor."""
-    scaled = g._grids.get(factor)
-    if scaled is None:
-        scaled = g._grids[factor] = scale_graph(g, factor, include_domain=True)
-    return scaled
+    """``scale_graph(g, factor, include_domain=True)``; g keeps the latest grid's copy only."""
+    if factor not in g._grids:
+        g._grids.clear()
+        g._grids[factor] = scale_graph(g, factor, include_domain=True)
+    return g._grids[factor]
 
 
 def graph_nodes(g: TemporalGraph) -> frozenset[str]:

@@ -1173,6 +1173,18 @@ def test_no_evaluator_builds_a_grid_for_integer_endpoints(kind, name):
     assert G._grids == {}
 
 
+def test_the_graph_keeps_only_its_latest_grid():
+    # a long-lived graph asked queries on ever new grids keeps one scaled copy
+    G = bundled_graph("running_dense.tg")
+    for k in range(2, 42):
+        q = parse_query(f"attends/T[1/{k},1/{k}]/attends^-")
+        for evaluate in (eval_c, eval_t):
+            got = evaluate(G, q)
+            assert len(G._grids) == 1
+            assert got == evaluate(load_graph(serialize_graph(G)), q), (k, evaluate)
+        assert len(got) > 0
+
+
 # --- time constants: one walker, one rewriter ------------------------------------
 #
 # The passes over a query's navigation intervals and time bounds as they were
@@ -1579,6 +1591,103 @@ def test_pruned_join_sets_match_plain_bucket_loop(kind, dense, shared):
     assert joined > 500  # the random sets chain often enough to compare something
 
 
+# --- node-uniform leaves -----------------------------------------------------------
+
+
+def _per_node_leaf(G, q, rules):
+    # the leaf's set made node by node, each node's tuples built at that node
+    nodes, domain = G.nodes, G.domain
+    if isinstance(q, q_.Not):  # each node's complement, within the domain, of the filter
+        taus = {}
+        for u in _per_node_leaf(G, q.inner, rules):
+            taus.setdefault(u.n1, []).append(u.tau)
+        return {
+            rules.flat(n, n, gap)
+            for n in nodes
+            for gap in iv.complement(taus.get(n, ()), domain, discrete=G.discrete)
+        }
+    if isinstance(q, q_.Pred):
+        held = [q.target] if q.equals else [n for n in nodes if n != q.target]
+        return {rules.flat(n, n, domain) for n in held}
+    if isinstance(q, q_.LeqTime):
+        window = _reference_leq_window(domain, q.bound)
+        return set() if window is None else {rules.flat(n, n, window) for n in nodes}
+    return {  # navigation: (domain, delta) at n composed with the domain at n
+        u
+        for n in nodes
+        for u in rules.join(rules.flat(n, n, domain, delta=q.delta), rules.flat(n, n, domain))
+    }
+
+
+def _uniform_operands(rng, G, steps, singleton):
+    # random navigations (one point each over dense time when singleton), a
+    # time bound below the domain and one within it, and node filters,
+    # negated or not, on a node of G and on the absent node Z
+    lo, hi = math.floor(G.domain.lo), math.floor(G.domain.hi)
+    out = []
+    for _ in range(3):
+        a = rng.randint(-3, 3)
+        delta = C(a, a + rng.choice([0, 0, 1, 2, 5]))
+        if steps:
+            delta = iv.point(_on_steps(rng, a, steps)) if singleton else _stepped(rng, delta, steps)
+        out.append(q_.TimeNav(delta))
+    bound = rng.randint(lo, hi)
+    out += [q_.LeqTime(lo - 1), q_.LeqTime(_on_steps(rng, bound, steps) if steps else bound)]
+    for target in ("Z", *G.nodes[:1]):
+        for equals in (True, False):
+            out += [q_.Pred(equals, target), q_.Not(q_.Pred(equals, target))]
+    return out
+
+
+def _set_or_error(compute):
+    try:
+        return compute()
+    except TrpqError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@pytest.mark.parametrize("rules, dense", [
+    (ev._T_RULES, False), (ev._T_RULES, True), (ev._D_RULES[True], False),
+    (ev._D_RULES[False], True), (ev._C_RULES, False), (ev._C_RULES, True),
+], ids=["t", "t-dense", "d", "d-dense", "c", "c-dense"])
+def test_node_uniform_operands_join_as_their_per_node_sets(rules, dense):
+    # as a join's right operand a navigation, a time bound or a node filter is
+    # one bucket shared by its nodes; it must join as its per-node set does
+    if dense:
+        instances = [
+            (_random_stepped_instance(seed, steps), steps)
+            for steps in _STEPS.values() for seed in range(100)
+        ]
+        empty = TemporalGraph("dense", iv.Interval(0, Fraction(11, 2), False, True), {})
+    else:
+        instances = [(random_instance(seed), None) for seed in range(300)]
+        empty = TemporalGraph("discrete", C(0, 5), {})
+    instances.append(((empty, q_.Label("e")), (2,) if dense else None))
+    rng = random.Random(f"uniform-{dense}")
+    seen = Counter()
+    for (G, q), steps in instances:
+        # every label's tuples, the instance query's answer and a tuple into Z
+        left = {rules.flat(G.nodes[0] if G.nodes else "a", "Z", G.domain)}
+        for label in {p for _, p, _ in G.facts}:
+            left |= ev._evaluate(G, q_.Label(label), rules, 25, {})
+        answer = _set_or_error(lambda: ev._evaluate(G, q, rules, 25, {}))
+        left |= set() if isinstance(answer, str) else answer
+        singleton = dense and rules is ev._T_RULES  # U^t is checked up front over dense time
+        for operand in _uniform_operands(rng, G, steps, singleton):
+            want = _set_or_error(lambda: ev._join_sets(
+                left, ev._buckets(_per_node_leaf(G, operand, rules)), rules
+            ))
+            got = _set_or_error(lambda: ev._join_sets(
+                left, ev._bucketed(G, operand, rules, 25, {}), rules
+            ))
+            assert got == want, (G, q, operand)
+            expanded = _set_or_error(lambda: ev._evaluate(G, operand, rules, 25, {}))
+            assert expanded == _set_or_error(lambda: _per_node_leaf(G, operand, rules))
+            seen["error" if isinstance(want, str) else bool(want)] += 1
+    assert seen[True] > 1000
+    assert seen["error"] > 100 if rules is ev._D_RULES[False] else seen["error"] == 0
+
+
 def test_discrete_eval_d_sorts_only_its_answer(monkeypatch, running):
     # over discrete time no expansion can fail, so the groups go unsorted: the
     # one sort left is the AnswerSet's, once per output tuple
@@ -1826,7 +1935,8 @@ def test_each_label_leaf_is_built_once_per_evaluation(monkeypatch, kind, evaluat
 
 
 @pytest.mark.parametrize("query, buckets, buckets_d", [
-    ("e/T[1,3]/e/T[1,3]/e", 2, 1),  # e and T[1,3]; U^d and U^td fuse navigation into the join
+    ("e/T[1,3]/e/T[1,3]/e", 1, 1),  # e; T[1,3]'s nodes share one bucket that _buckets never builds
+    ("e/(<=4)/e/!((=a))", 1, 1),  # e; a time bound and a negated node filter share theirs too
     ("e/e + f/e", 1, 1),
     ("e[1,3]/e", 1, 1),
     ("e/(e/f)/(e/f)", 3, 3),  # f once, and the subtree e/f at each of its occurrences
@@ -1849,8 +1959,8 @@ def test_each_leaf_is_bucketed_once_per_evaluation(monkeypatch, kind, evaluator,
         got = evaluator(G, q)
         counts.append(len(calls))
     monkeypatch.undo()
-    # each query buckets one label, which the graph keeps; T[1,3] and the
-    # subtree e/f are bucketed again in each evaluation
+    # each query buckets one label, which the graph keeps; the subtree e/f is
+    # bucketed again in each evaluation
     first = buckets_d if kind in ("d", "td") else buckets
     assert counts == [first, first - 1]
     assert unfold(got, kind) == eval_direct(G, q)

@@ -266,3 +266,14 @@ def test_load_graph_reports_a_fact_outside_the_domain_by_line():
     assert str(err.value) == (
         "interval [4,9] of triple (A, e, B) is not contained in the domain [0,5] (line 3)"
     )
+
+
+@pytest.mark.parametrize("triple", [("", "e", "B"), ("A", "e", ""), ("", "e", "")])
+def test_graph_built_through_the_api_rejects_an_empty_node_name(triple):
+    # a loaded file cannot hold one (identifiers are nonempty); the evaluators
+    # use "" as the placeholder node of a navigation, time bound or node filter
+    with pytest.raises(GraphParseError, match="a node name must not be empty"):
+        TemporalGraph("discrete", iv.closed(0, 5), {triple: (iv.closed(1, 2),)})
+    # a label may still be anything
+    g = TemporalGraph("discrete", iv.closed(0, 5), {("A", "", "B"): (iv.closed(1, 2),)})
+    assert g.nodes == ("A", "B")
