@@ -4,7 +4,10 @@ Coalescing gives the unique minimal form in U^t / U^d.  For the rectangle
 representations there is no unique minimum; this module provides subsumption
 removal, a deterministic greedy reducer (no optimality claim), and an
 exponential exact minimizer for tiny discrete instances that serves as a test
-oracle (overlapping covers or disjoint ones).
+oracle (overlapping covers or disjoint ones).  Subsumption removal and greedy
+reduction return their input when they drop or merge nothing; the greedy
+reducer rejects two discrete U^c tuples whose taus neither meet nor touch
+before it enumerates any cell.
 """
 
 from __future__ import annotations
@@ -95,7 +98,7 @@ def remove_subsumed(s: AnswerSet) -> AnswerSet:
                     break
             if not dominated:
                 kept.append(u)
-    return AnswerSet(s.kind, s.mode, kept)
+    return s if len(kept) == len(s) else AnswerSet(s.kind, s.mode, kept)
 
 
 # --------------------------------------------------------------------------
@@ -133,8 +136,8 @@ def _try_merge_c(a: CTuple, b: CTuple, discrete: bool) -> Optional[CTuple]:
         merged = CTuple(a.n1, a.n2, iv.hull(a.tau, b.tau), a.delta, a.b, a.e)
         if ctuple_valid(merged):
             return merged
-    if not discrete:
-        return None
+    if not discrete or not iv.union_is_interval(a.tau, b.tau, discrete=True):
+        return None  # over the integers a valid merge has cells at every t of hull(tau)
     # hull of the rectangles and of the bands, verified cellwise
     tau = iv.hull(a.tau, b.tau)
     delta = iv.hull(a.delta, b.delta)
@@ -150,6 +153,7 @@ def greedy_reduce(s: AnswerSet) -> AnswerSet:
 
     Unfolding-preserving and never larger than the input; makes no claim of
     minimality (exact minimization is intractable for these representations).
+    A merge always leaves one tuple fewer, so an output of the input's size is the input.
     """
     if s.kind == "td":
         merge = _try_merge_td
@@ -160,7 +164,7 @@ def greedy_reduce(s: AnswerSet) -> AnswerSet:
     discrete = s.mode == "discrete"
     out = []
     for tuples in _pair_runs(s):
-        changed = True
+        changed = len(tuples) > 1  # a run of one is canonical already
         while changed:
             changed = False
             tuples.sort(key=tuple_sort_key)
@@ -177,7 +181,7 @@ def greedy_reduce(s: AnswerSet) -> AnswerSet:
                 if changed:
                     break
         out.extend(tuples)
-    return AnswerSet(s.kind, s.mode, out)
+    return s if len(out) == len(s) else AnswerSet(s.kind, s.mode, out)
 
 
 # --------------------------------------------------------------------------

@@ -39,16 +39,16 @@ each departure that lands, in U^d's join and in its ``nav_join``.
 
 Three kinds of work are shared.  Each distinct leaf subquery is built once,
 and bucketed once as a join's right operand: ``e/e/e`` builds and buckets
-``e`` once.  A label's set and buckets depend only on the graph and
-``rules.flat``, so the graph keeps them for later evaluations; other leaves
-hold query constants and last one evaluation.  Navigation, a time bound and
-a node filter, negated or not, have one time shape at every node, so as a
-join's right operand they are not copied per node: their nodes share one
-bucket of their tuples at the placeholder node "".  Within one join, a
-result's time fields depend only on the operands' time fields, so each
-distinct pair of time shapes is joined once and copied, canonical form and
-all, to the other node pairs; every join actually made still checks
-operands and result.
+``e`` once.  The set and buckets of a label, its inverse and its test depend
+only on the graph and ``rules.flat``, so the graph keeps them for later
+evaluations; other leaves hold query constants and last one evaluation.
+Navigation, a time bound and a node filter, negated or not, have one time
+shape at every node, so as a join's right operand they are not copied per
+node: their nodes share one bucket of their tuples at the placeholder node
+"".  Within one join, a result's time fields depend only on the operands'
+time fields, so each distinct pair of time shapes is joined once and copied,
+canonical form and all, to the other node pairs; every join actually made
+still checks operands and result.
 """
 
 from __future__ import annotations
@@ -138,18 +138,19 @@ _UNIFORM = _LEAVES[1:]
 def _evaluate(G, q, rules: _Rules, cap: int, leaves: dict) -> set:
     """The answer set of q under one representation's rules.
 
-    Leaf subqueries are memoised by value (``_memo``): a label of G in G,
-    for every later evaluation; any other leaf in ``leaves``, a new dict per
-    evaluation.  Leaves alone are keyed, because their hash is shallow.  The
-    frozen sets and the buckets handed out are shared: no caller may change
-    them.
+    Leaf subqueries are memoised by value (``_memo``): a label of G, and its
+    inverse or test, in G for every later evaluation; any other leaf in
+    ``leaves``, a new dict per evaluation.  Only these are keyed, because
+    their hash is shallow.  The frozen sets and the buckets handed out are
+    shared: no caller may change them.
     """
     if isinstance(q, _LEAVES):
         return _memo(G, q, rules, leaves, "set", lambda: _leaf(G, q, rules, leaves))
-    if isinstance(q, q_.Inverse):
-        return {rules.flat(u.n2, u.n1, u.tau) for u in _evaluate(G, q.edge, rules, cap, leaves)}
-    if isinstance(q, q_.Test):
-        return {rules.flat(u.n1, u.n1, u.tau) for u in _evaluate(G, q.inner, rules, cap, leaves)}
+    if isinstance(q, (q_.Inverse, q_.Test)):  # each (n1, n2) as (n2, n1), or a test's (n1, n1)
+        inner, test = q_.children(q)[0], isinstance(q, q_.Test)
+        return _memo(G, q, rules, None, "set", lambda: frozenset(
+            rules.flat(u.n1 if test else u.n2, u.n1, u.tau)
+            for u in _evaluate(G, inner, rules, cap, leaves)))
     if isinstance(q, q_.Not):
         taus: dict[str, list] = {}
         for u in _evaluate(G, q.inner, rules, cap, leaves):
@@ -185,14 +186,23 @@ def _bucketed(G, q, rules: _Rules, cap: int, leaves: dict, out=None) -> dict:
     if isinstance(q, _UNIFORM) or isinstance(q, q_.Not) and isinstance(q.inner, q_.Pred):
         return _memo(G, q, rules, leaves, "buckets", lambda: _uniform(G, q, rules))
     out = _evaluate(G, q, rules, cap, leaves) if out is None else out
-    if not isinstance(q, q_.Label):
+    if not isinstance(q, q_.Label) and not _kept(G, q):
         return _buckets(out)
     return _memo(G, q, rules, leaves, "buckets", lambda: _buckets(out))
 
 
-def _memo(G, q, rules: _Rules, leaves: dict, what: str, build: Callable):
-    """Leaf q's ``what``, built once: kept in G for a label of G, else in ``leaves``."""
-    memo = G._leaves if isinstance(q, q_.Label) and q.name in G._by_label else leaves
+def _kept(G, q) -> bool:
+    """Whether q is a label of G or its inverse or test: a set that only G and the rules fix."""
+    if isinstance(q, (q_.Inverse, q_.Test)):
+        q = q_.children(q)[0]
+    return isinstance(q, q_.Label) and q.name in G._by_label
+
+
+def _memo(G, q, rules: _Rules, leaves: Optional[dict], what: str, build: Callable):
+    """q's ``what``, built once: kept in G if ``_kept``, else in ``leaves`` unless that is None."""
+    memo = G._leaves if _kept(G, q) else leaves
+    if memo is None:
+        return build()
     key = (rules.flat, what, q)
     if key not in memo:
         memo[key] = build()

@@ -64,11 +64,12 @@ def format_number(x: Number) -> str:
     default) raises TrpqError; the limit is not raised.
     """
     try:
-        if isinstance(x, Fraction):
-            if x.denominator == 1:
-                return str(x.numerator)
-            return f"{x.numerator}/{x.denominator}"
-        return str(x)
+        # int first: an isinstance check against Fraction is an ABC lookup
+        if type(x) is int or not isinstance(x, Fraction):
+            return str(x)
+        if x.denominator == 1:
+            return str(x.numerator)
+        return f"{x.numerator}/{x.denominator}"
     except ValueError:
         limit = sys.get_int_max_str_digits()
         raise TrpqError(f"cannot print a number of more than {limit:,} digits") from None

@@ -248,31 +248,35 @@ def c_covers(u: CTuple, v: CTuple) -> bool:
 
 
 def render_tuple(u) -> str:
-    if isinstance(u, PointTuple):
-        return f"p {u.n1} {u.n2} {iv.format_number(u.t)} {iv.format_number(u.d)}"
-    if isinstance(u, TTuple):
-        return f"t {u.n1} {u.n2} {u.tau} {iv.format_number(u.d)}"
-    if isinstance(u, DTuple):
-        return f"d {u.n1} {u.n2} {iv.format_number(u.t)} {u.delta}"
-    if isinstance(u, TDTuple):
+    kind, num = type(u), iv.format_number
+    if kind is CTuple:
+        return f"c {u.n1} {u.n2} {u.tau} {u.delta} b={num(u.b)} e={num(u.e)}"
+    if kind is TDTuple:
         return f"td {u.n1} {u.n2} {u.tau} {u.delta}"
-    if isinstance(u, CTuple):
-        return (
-            f"c {u.n1} {u.n2} {u.tau} {u.delta} "
-            f"b={iv.format_number(u.b)} e={iv.format_number(u.e)}"
-        )
+    if kind is TTuple:
+        return f"t {u.n1} {u.n2} {u.tau} {num(u.d)}"
+    if kind is DTuple:
+        return f"d {u.n1} {u.n2} {num(u.t)} {u.delta}"
+    if kind is PointTuple:
+        return f"p {u.n1} {u.n2} {num(u.t)} {num(u.d)}"
     raise TypeError(f"not an answer tuple: {u!r}")
 
 
 def tuple_sort_key(u):
-    if isinstance(u, PointTuple):
-        return (u.n1, u.n2, u.t, u.d)
-    if isinstance(u, TTuple):
-        return (u.n1, u.n2, *iv.sort_key(u.tau), u.d)
-    if isinstance(u, DTuple):
-        return (u.n1, u.n2, u.t, *iv.sort_key(u.delta))
-    if isinstance(u, TDTuple):
-        return (u.n1, u.n2, *iv.sort_key(u.tau), *iv.sort_key(u.delta))
-    if isinstance(u, CTuple):
-        return (u.n1, u.n2, *iv.sort_key(u.tau), *iv.sort_key(u.delta), u.b, u.e)
+    """(n1, n2) and then each field, an interval as its ``iv.sort_key``."""
+    kind = type(u)
+    if kind is CTuple:
+        n1, n2, (t0, t1, tl, tr), (d0, d1, dl, dr), b, e = u
+        return (n1, n2, t0, not tl, t1, not tr, d0, not dl, d1, not dr, b, e)
+    if kind is TDTuple:
+        n1, n2, (t0, t1, tl, tr), (d0, d1, dl, dr) = u
+        return (n1, n2, t0, not tl, t1, not tr, d0, not dl, d1, not dr)
+    if kind is TTuple:
+        n1, n2, (t0, t1, tl, tr), d = u
+        return (n1, n2, t0, not tl, t1, not tr, d)
+    if kind is DTuple:
+        n1, n2, t, (d0, d1, dl, dr) = u
+        return (n1, n2, t, d0, not dl, d1, not dr)
+    if kind is PointTuple:
+        return u  # (n1, n2, t, d) already
     raise TypeError(f"not an answer tuple: {u!r}")

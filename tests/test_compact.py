@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trpq import eval_c, eval_direct, eval_t, eval_td
+from trpq import compact, eval_c, eval_direct, eval_t, eval_td, load_graph, parse_query
 from trpq import intervals as iv
 from trpq.compact import (
     _try_merge_c,
@@ -389,6 +389,59 @@ def test_per_pair_compaction_matches_all_pairs_reference_on_eval_output():
             kept = remove_subsumed(s)
             assert kept == _reference_remove_subsumed(s)
             assert greedy_reduce(kept) == _reference_greedy_reduce(kept)
+
+
+def _compaction_inputs():
+    """Answer sets of td and c: eval output on randgen seeds, then random pair lists."""
+    for seed in range(300):
+        G, q = random_instance(seed)
+        yield eval_td(G, q)
+        yield eval_c(G, q)
+    rng = random.Random(21)
+    for _ in range(300):
+        kind = rng.choice(["td", "c"])
+        yield aset(kind, _random_pair_tuples(rng, kind), rng.choice(["discrete", "dense"]))
+
+
+def test_compaction_returns_canonical_sets_and_its_input_when_nothing_changes():
+    returned_input = changed = 0
+    for s in _compaction_inputs():
+        kept = remove_subsumed(s)
+        reduced = greedy_reduce(kept)
+        assert kept == _reference_remove_subsumed(s)
+        assert reduced == _reference_greedy_reduce(kept)
+        for before, after in [(s, kept), (kept, reduced)]:
+            # every output is canonical: what an AnswerSet of its tuples would hold
+            assert after.tuples == AnswerSet(after.kind, after.mode, after.tuples).tuples
+            # each drop or merge removes a tuple, so an unchanged size means nothing changed
+            assert (after is before) == (len(after) == len(before))
+            returned_input += after is before
+            changed += after is not before
+    assert returned_input > 500 and changed > 300, (returned_input, changed)
+
+
+def _comb(width):
+    """One node, an e-edge at every third time point of [0, width]."""
+    facts = "".join(f"a e a [{i},{i}]\n" for i in range(0, width + 1, 3))
+    return load_graph(f"mode discrete\ndomain [0,{width}]\n{facts}")
+
+
+def test_greedy_reduce_on_c_enumerates_no_cells_for_pairs_that_cannot_merge(monkeypatch):
+    # e/T[0,7]/e gives one node pair many cropped tuples, most of them far apart
+    # in time; their cells were enumerated for every pair, about 88 calls per tuple
+    s = remove_subsumed(eval_c(_comb(60), parse_query("e/T[0,7]/e")))
+    calls = []
+    original = compact.cells
+
+    def counting(u):
+        calls.append(u)
+        return original(u)
+
+    monkeypatch.setattr(compact, "cells", counting)
+    got = greedy_reduce(s)
+    monkeypatch.undo()
+    assert len(s) == 60 and got is s
+    assert len(calls) < 4 * len(s)
 
 
 # --- API guards ----------------------------------------------------------------

@@ -2008,6 +2008,38 @@ def test_the_graph_keeps_only_the_leaves_of_its_own_labels():
 
 
 @pytest.mark.parametrize("kind, evaluator", EVALUATORS, ids=["t", "d", "td", "c"])
+def test_the_graph_keeps_the_inverse_and_test_of_its_labels(monkeypatch, kind, evaluator):
+    # e^- and ?(f) depend only on G, as e and f do; g^- and ?(g) (g is no
+    # label of G) and ?(e/f) (no label) are built again in each evaluation
+    G = _two_labels()
+    q = parse_query("e^-/?(f)/e^- + g^-/?(g) + ?(e/f)")
+    calls = []
+    original = ev._evaluate
+
+    def counting(G, q, *args):
+        calls.append(q)
+        return original(G, q, *args)
+
+    monkeypatch.setattr(ev, "_evaluate", counting)
+    got = evaluator(G, q)
+    first, kept = Counter(calls), dict(G._leaves)
+    calls.clear()
+    assert evaluator(G, q) == got
+    monkeypatch.undo()
+    e, f = q_.Label("e"), q_.Label("f")
+    # the second evaluation reaches e^- and ?(f) as often, but builds neither
+    # from e or f; it reads them from G, which gains nothing
+    second = Counter(calls)
+    assert second[q_.Inverse(e)] == first[q_.Inverse(e)] == 2 and second[q_.Test(f)] == 1
+    assert first - second == Counter({e: 1, f: 1})
+    assert G._leaves.keys() == kept.keys() and all(G._leaves[k] is v for k, v in kept.items())
+    assert {q for _, _, q in G._leaves} == {e, f, q_.Inverse(e), q_.Test(f)}
+    # e^- is a join's right operand too, so its buckets are kept as well
+    assert {what for _, what, q in G._leaves if q == q_.Inverse(e)} == {"set", "buckets"}
+    assert unfold(got, kind) == eval_direct(G, q)
+
+
+@pytest.mark.parametrize("kind, evaluator", EVALUATORS, ids=["t", "d", "td", "c"])
 def test_repeated_leaves_match_the_oracle(kind, evaluator):
     # each random query appears more than once, next to label leaves it shares
     e = q_.Label("e")

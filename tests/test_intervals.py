@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -374,3 +375,15 @@ def test_normalize_discrete():
 def test_format_number_too_long_to_print_raises(x):
     with pytest.raises(TrpqError, match="digits"):
         iv.format_number(x)
+
+
+def test_format_number_prints_every_number_type():
+    # int takes a fast path ahead of the Fraction check; the rest must print as before
+    assert iv.format_number(0) == "0" and iv.format_number(-7) == "-7"
+    assert iv.format_number(Fraction(6, 3)) == "2" and iv.format_number(Fraction(-1, 2)) == "-1/2"
+    assert iv.format_number(2.5) == "2.5"  # floats reach error messages, never answers
+    assert iv.format_number(True) == "True"
+    limit = sys.get_int_max_str_digits()  # 4,300 by default
+    assert iv.format_number(-(10 ** (limit - 1))) == "-1" + "0" * (limit - 1)
+    with pytest.raises(TrpqError, match=f"more than {limit:,} digits"):
+        iv.format_number(10**limit)

@@ -28,6 +28,7 @@ from trpq.tuples import (
     delta_at,
     render_tuple,
     td_covers,
+    tuple_sort_key,
     unfold_c,
     unfold_d,
     unfold_t,
@@ -564,6 +565,73 @@ def test_render_formats():
     assert render_tuple(DTuple("a", "b", 0, C(1, 5))) == "d a b 0 [1,5]"
     assert render_tuple(TDTuple("a", "b", C(0, 1), C(2, 3))) == "td a b [0,1] [2,3]"
     assert render_tuple(PointTuple("a", "b", 1, 2)) == "p a b 1 2"
+
+
+def _generic_sort_key(u):
+    """Nodes, then each field in order, an interval as (lo, open left, hi, open right)."""
+    key = []
+    for x in u:
+        is_interval = isinstance(x, Interval)
+        key.extend((x.lo, not x.left_closed, x.hi, not x.right_closed) if is_interval else (x,))
+    return tuple(key)
+
+
+def _generic_render(u):
+    """One tuple's line: its kind, its nodes, then each field as an interval or a number."""
+    kind = {PointTuple: "p", TTuple: "t", DTuple: "d", TDTuple: "td", CTuple: "c"}[type(u)]
+    fields = [str(x) if isinstance(x, Interval) else iv.format_number(x) for x in u[2:]]
+    if kind == "c":
+        fields[2:] = [f"b={fields[2]}", f"e={fields[3]}"]
+    return " ".join([kind, u.n1, u.n2, *fields])
+
+
+def _random_tuples(rng, count):
+    """Tuples of all five kinds over two node pairs, with Fraction and negative endpoints.
+
+    A value pool of few distinct values makes ties on lo with different
+    delimiters, and on every field before the last, common.
+    """
+    values = HALF_STEPS[8:17]  # -2 .. 2 by halves
+    out = []
+    for _ in range(count):
+        n1, n2 = rng.choice([("a", "b"), ("a", "a")])
+        tau, delta = (random_mixed_interval(rng, values) for _ in range(2))
+        t, d = rng.choice(values), rng.choice(values)
+        out += [
+            PointTuple(n1, n2, t, d),
+            TTuple(n1, n2, tau, d),
+            DTuple(n1, n2, t, delta),
+            TDTuple(n1, n2, tau, delta),
+            CTuple(n1, n2, tau, delta, rng.choice(values), rng.choice(values)),
+        ]
+    return out
+
+
+def test_tuple_sort_key_orders_every_kind_as_the_generic_key():
+    rng = random.Random(21)
+    tuples = _random_tuples(rng, 3_000)
+    by_kind = {}
+    for u in tuples:
+        assert tuple_sort_key(u) == _generic_sort_key(u), u
+        by_kind.setdefault(type(u), []).append(u)
+    for kind, group in by_kind.items():
+        assert sorted(group, key=tuple_sort_key) == sorted(group, key=_generic_sort_key), kind
+    # the pool makes the ties the key must break: equal lo, different delimiters
+    taus = [u.tau for u in by_kind[TDTuple]]
+    assert len({(x.lo, x.left_closed) for x in taus}) > len({x.lo for x in taus})
+    assert any(isinstance(x.lo, Fraction) and x.lo < 0 for x in taus)
+    with pytest.raises(TypeError):
+        tuple_sort_key(("a", "b", 1, 2))
+
+
+def test_render_tuple_matches_the_generic_render_for_every_kind():
+    rng = random.Random(22)
+    tuples = _random_tuples(rng, 1_000)
+    for u in tuples:
+        assert render_tuple(u) == _generic_render(u), u
+    assert any("/" in render_tuple(u) and "(" in render_tuple(u) for u in tuples)
+    with pytest.raises(TypeError):
+        render_tuple(("a", "b", 1, 2))
 
 
 def test_canonical_parameters_do_not_change_slices():
