@@ -37,18 +37,17 @@ U^t's join makes one fixed hop per distance that D can span, since its
 tuples hold one distance each.  ``_per_departure`` composes a wider delta at
 each departure that lands, in U^d's join and in its ``nav_join``.
 
-Three kinds of work are shared.  Each distinct leaf subquery is built once,
-and bucketed once as a join's right operand: ``e/e/e`` builds and buckets
-``e`` once.  The set and buckets of a label, its inverse and its test depend
-only on the graph and ``rules.flat``, so the graph keeps them for later
-evaluations; other leaves hold query constants and last one evaluation.
-Navigation, a time bound and a node filter, negated or not, have one time
-shape at every node, so as a join's right operand they are not copied per
-node: their nodes share one bucket of their tuples at the placeholder node
-"".  Within one join, a result's time fields depend only on the operands'
-time fields, so each distinct pair of time shapes is joined once and copied,
-canonical form and all, to the other node pairs; every join actually made
-still checks operands and result.
+Three kinds of work are shared.  The set and buckets of a label of the
+graph, its inverse and its test depend only on the graph and ``rules.flat``,
+so the graph keeps them for every evaluation: ``e/e/e`` builds and buckets
+``e`` once.  Every other leaf is built where it occurs.  Navigation, a time
+bound and a node filter, negated or not, have one time shape at every node,
+so as a join's right operand they are not copied per node: their nodes share
+one bucket of their tuples at the placeholder node "".  Within one join, a
+result's time fields depend only on the operands' time fields, so each
+distinct pair of time shapes is joined once and copied, canonical form and
+all, to the other node pairs; every join actually made still checks operands
+and result.
 """
 
 from __future__ import annotations
@@ -135,25 +134,24 @@ _LEAVES = (q_.Label, q_.Pred, q_.LeqTime, q_.TimeNav)
 _UNIFORM = _LEAVES[1:]
 
 
-def _evaluate(G, q, rules: _Rules, cap: int, leaves: dict) -> set:
+def _evaluate(G, q, rules: _Rules, cap: int) -> set:
     """The answer set of q under one representation's rules.
 
-    Leaf subqueries are memoised by value (``_memo``): a label of G, and its
-    inverse or test, in G for every later evaluation; any other leaf in
-    ``leaves``, a new dict per evaluation.  Only these are keyed, because
-    their hash is shallow.  The frozen sets and the buckets handed out are
-    shared: no caller may change them.
+    A label of G, and its inverse or test, is kept in G by value (``_memo``)
+    for every later evaluation; every other subquery is built where it
+    occurs.  The frozen sets and the buckets that G keeps are shared: no
+    caller may change them.
     """
     if isinstance(q, _LEAVES):
-        return _memo(G, q, rules, leaves, "set", lambda: _leaf(G, q, rules, leaves))
+        return _memo(G, q, rules, "set", lambda: _leaf(G, q, rules))
     if isinstance(q, (q_.Inverse, q_.Test)):  # each (n1, n2) as (n2, n1), or a test's (n1, n1)
         inner, test = q_.children(q)[0], isinstance(q, q_.Test)
-        return _memo(G, q, rules, None, "set", lambda: frozenset(
+        return _memo(G, q, rules, "set", lambda: frozenset(
             rules.flat(u.n1 if test else u.n2, u.n1, u.tau)
-            for u in _evaluate(G, inner, rules, cap, leaves)))
+            for u in _evaluate(G, inner, rules, cap)))
     if isinstance(q, q_.Not):
         taus: dict[str, list] = {}
-        for u in _evaluate(G, q.inner, rules, cap, leaves):
+        for u in _evaluate(G, q.inner, rules, cap):
             taus.setdefault(u.n1, []).append(u.tau)
         # the complement, within the domain, of each node's node-form time intervals
         return {
@@ -163,32 +161,30 @@ def _evaluate(G, q, rules: _Rules, cap: int, leaves: dict) -> set:
         }
     if isinstance(q, q_.Join):
         # left to right: ((p1 / p2) / p3) / ...
-        out = _evaluate(G, q.parts[0], rules, cap, leaves)
+        out = _evaluate(G, q.parts[0], rules, cap)
         for part in q.parts[1:]:
             if rules.nav_join is not None and isinstance(part, q_.TimeNav):
                 out = rules.nav_join(out, part.delta, G)
             else:
-                out = _join_sets(out, _bucketed(G, part, rules, cap, leaves), rules)
+                out = _join_sets(out, _bucketed(G, part, rules, cap), rules)
         return out
     if isinstance(q, q_.Union):
-        return set().union(*[_evaluate(G, part, rules, cap, leaves) for part in q.parts])
+        return set().union(*[_evaluate(G, part, rules, cap) for part in q.parts])
     if isinstance(q, q_.Repeat):
-        base = _evaluate(G, q.inner, rules, cap, leaves)
+        base = _evaluate(G, q.inner, rules, cap)
         identity = {rules.flat(n, n, G.domain) for n in G.nodes} if q.m == 0 else ()
-        buckets = _bucketed(G, q.inner, rules, cap, leaves, base)
+        buckets = _bucketed(G, q.inner, rules, cap, base)
         join_base = partial(_join_sets, buckets=buckets, rules=rules)
         return _repeat_sets(base, q.m, q.n, identity, join_base, cap)
     raise TypeError(f"not a query node: {q!r}")
 
 
-def _bucketed(G, q, rules: _Rules, cap: int, leaves: dict, out=None) -> dict:
-    """``_buckets`` of q's answer set ``out`` (evaluated if not given); a leaf's are memoised."""
+def _bucketed(G, q, rules: _Rules, cap: int, out=None) -> dict:
+    """``_buckets`` of q's answer set ``out`` (evaluated if not given), kept in G if ``_kept``."""
     if isinstance(q, _UNIFORM) or isinstance(q, q_.Not) and isinstance(q.inner, q_.Pred):
-        return _memo(G, q, rules, leaves, "buckets", lambda: _uniform(G, q, rules))
-    out = _evaluate(G, q, rules, cap, leaves) if out is None else out
-    if not isinstance(q, q_.Label) and not _kept(G, q):
-        return _buckets(out)
-    return _memo(G, q, rules, leaves, "buckets", lambda: _buckets(out))
+        return _uniform(G, q, rules)
+    out = _evaluate(G, q, rules, cap) if out is None else out
+    return _memo(G, q, rules, "buckets", lambda: _buckets(out))
 
 
 def _kept(G, q) -> bool:
@@ -198,28 +194,26 @@ def _kept(G, q) -> bool:
     return isinstance(q, q_.Label) and q.name in G._by_label
 
 
-def _memo(G, q, rules: _Rules, leaves: Optional[dict], what: str, build: Callable):
-    """q's ``what``, built once: kept in G if ``_kept``, else in ``leaves`` unless that is None."""
-    memo = G._leaves if _kept(G, q) else leaves
-    if memo is None:
+def _memo(G, q, rules: _Rules, what: str, build: Callable):
+    """q's ``what``: built once and kept in G if ``_kept``, else built anew."""
+    if not _kept(G, q):
         return build()
     key = (rules.flat, what, q)
-    if key not in memo:
-        memo[key] = build()
-    return memo[key]
+    if key not in G._leaves:
+        G._leaves[key] = build()
+    return G._leaves[key]
 
 
-def _leaf(G, q, rules: _Rules, leaves: Optional[dict] = None) -> frozenset:
-    """The answer set of a leaf subquery; not recursive.  ``leaves`` keeps its ``_uniform``."""
+def _leaf(G, q, rules: _Rules) -> frozenset:
+    """The answer set of a leaf subquery; not recursive."""
     if isinstance(q, q_.Label):
         return frozenset(
             rules.flat(s, o, tau)
             for s, o, validity in G.triples_with_label(q.name)
             for tau in validity
         )
-    memo = {} if leaves is None else leaves
-    buckets = _memo(G, q, rules, memo, "buckets", lambda: _uniform(G, q, rules))
-    return frozenset(u._make((n, n, *u[2:])) for n, (_, group, _) in buckets.items() for u in group)
+    buckets = _uniform(G, q, rules).items()
+    return frozenset(u._make((n, n, *u[2:])) for n, (_, group, _) in buckets for u in group)
 
 
 def _uniform(G, q, rules: _Rules) -> dict:
@@ -346,13 +340,13 @@ def _answers(G: TemporalGraph, q: q_.Trpq, rules: _Rules, cap: int):
     grid = 1 if G.discrete else math.lcm(G._denominator, _denominator(q))
     if grid > 1:
         try:
-            scaled = _evaluate(_on_grid(G, grid), q_.scale_query(q, grid), rules, cap, {})
+            scaled = _evaluate(_on_grid(G, grid), q_.scale_query(q, grid), rules, cap)
             return _scale_back(scaled, grid)
         except DenseInfeasibleError:
             # the error would cite a scaled interval; dense U^d probes pairs in canonical
             # order, which scaling keeps, so off the grid it fails at the same pair
             pass
-    return _evaluate(G, q, rules, cap, {})
+    return _evaluate(G, q, rules, cap)
 
 
 def _denominator(q: q_.Trpq) -> int:

@@ -35,7 +35,7 @@ class TemporalGraph:
     that evaluation never rescans them.  So is, over dense time, the lcm of
     the denominators of all its endpoints: the graph's share of the integer
     grid that every evaluator runs on.  ``_grids`` keeps the graph scaled onto
-    the latest grid used, ``_leaves`` each label's answer set and buckets per rule set.
+    the latest grid used, ``_leaves`` a label's, inverse's and test's set and buckets.
     """
 
     mode: str
@@ -231,10 +231,6 @@ def serialize_graph(g: TemporalGraph) -> str:
         rendered = ", ".join(str(x) for x in validity)
         lines.append(f"{s} {p} {o} {rendered}")
     return "\n".join(lines) + "\n"
-
-
-def graphs_equal(a: TemporalGraph, b: TemporalGraph) -> bool:
-    return a.mode == b.mode and a.domain == b.domain and a.facts == b.facts
 
 
 def scale_graph(g: TemporalGraph, factor: int, *, include_domain: bool = False) -> TemporalGraph:

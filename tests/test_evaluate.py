@@ -579,7 +579,7 @@ def _eval_td_by_join_td(G, q, *, max_iterations=q_.MAX_ITERATIONS):
     # join_td is named per call, so rebinding it (as a tracer does) reaches
     # every join, navigation's too
     rules = ev._Rules(join_td)
-    return ev.AnswerSet("td", G.mode, ev._evaluate(G, q, rules, max_iterations, {}))
+    return ev.AnswerSet("td", G.mode, ev._evaluate(G, q, rules, max_iterations))
 
 
 def test_eval_td_unfolds_as_its_join_td_reference():
@@ -1053,19 +1053,19 @@ def _integral_as_int(u):
 
 
 def _plain_c(G, q, cap):
-    return ev.AnswerSet("c", G.mode, ev._evaluate(G, q, ev._C_RULES, cap, {}))
+    return ev.AnswerSet("c", G.mode, ev._evaluate(G, q, ev._C_RULES, cap))
 
 
 def _plain_t(G, q, cap):
     # eval_t off the grid: the dense check, the recursion and the readout
     ev._check_dense_t_feasible(q)
-    rects = ev._evaluate(G, q, ev._T_RULES, cap, {})
+    rects = ev._evaluate(G, q, ev._T_RULES, cap)
     return ev.AnswerSet("t", G.mode, (TTuple(u.n1, u.n2, u.tau, u.delta.lo) for u in rects))
 
 
 def _plain_d(G, q, cap):
     # eval_d off the grid: each group in canonical order, expanded per time point
-    groups = sorted(ev._evaluate(G, q, ev._D_RULES[False], cap, {}), key=tuple_sort_key)
+    groups = sorted(ev._evaluate(G, q, ev._D_RULES[False], cap), key=tuple_sort_key)
     return ev.AnswerSet("d", G.mode, (
         DTuple(g.n1, g.n2, t, g.delta) for g in groups for t in ev._expand_times(g.tau, False)
     ))
@@ -1669,8 +1669,8 @@ def test_node_uniform_operands_join_as_their_per_node_sets(rules, dense):
         # every label's tuples, the instance query's answer and a tuple into Z
         left = {rules.flat(G.nodes[0] if G.nodes else "a", "Z", G.domain)}
         for label in {p for _, p, _ in G.facts}:
-            left |= ev._evaluate(G, q_.Label(label), rules, 25, {})
-        answer = _set_or_error(lambda: ev._evaluate(G, q, rules, 25, {}))
+            left |= ev._evaluate(G, q_.Label(label), rules, 25)
+        answer = _set_or_error(lambda: ev._evaluate(G, q, rules, 25))
         left |= set() if isinstance(answer, str) else answer
         singleton = dense and rules is ev._T_RULES  # U^t is checked up front over dense time
         for operand in _uniform_operands(rng, G, steps, singleton):
@@ -1678,10 +1678,10 @@ def test_node_uniform_operands_join_as_their_per_node_sets(rules, dense):
                 left, ev._buckets(_per_node_leaf(G, operand, rules)), rules
             ))
             got = _set_or_error(lambda: ev._join_sets(
-                left, ev._bucketed(G, operand, rules, 25, {}), rules
+                left, ev._bucketed(G, operand, rules, 25), rules
             ))
             assert got == want, (G, q, operand)
-            expanded = _set_or_error(lambda: ev._evaluate(G, operand, rules, 25, {}))
+            expanded = _set_or_error(lambda: ev._evaluate(G, operand, rules, 25))
             assert expanded == _set_or_error(lambda: _per_node_leaf(G, operand, rules))
             seen["error" if isinstance(want, str) else bool(want)] += 1
     assert seen[True] > 1000
@@ -1851,7 +1851,7 @@ def test_repeat_builds_the_node_identity_only_when_m_is_zero(query, identities):
         return ev._uncropped(*args)
 
     rules = ev._C_RULES._replace(flat=flat)
-    ev._evaluate(CHAIN, parse_query(query), rules, ev.MAX_ITERATIONS, {})
+    ev._evaluate(CHAIN, parse_query(query), rules, ev.MAX_ITERATIONS)
     # one flat tuple per e-fact, and one per node for the k = 0 power alone
     assert len(flats) == len(CHAIN.facts) + identities
 
@@ -2036,6 +2036,32 @@ def test_the_graph_keeps_the_inverse_and_test_of_its_labels(monkeypatch, kind, e
     assert {q for _, _, q in G._leaves} == {e, f, q_.Inverse(e), q_.Test(f)}
     # e^- is a join's right operand too, so its buckets are kept as well
     assert {what for _, what, q in G._leaves if q == q_.Inverse(e)} == {"set", "buckets"}
+    assert unfold(got, kind) == eval_direct(G, q)
+
+
+@pytest.mark.parametrize("kind, evaluator", EVALUATORS, ids=["t", "d", "td", "c"])
+def test_a_leaf_with_query_constants_is_built_where_it_occurs(monkeypatch, kind, evaluator):
+    # G keeps e alone; each T[1,3] is built at its own occurrence, in every
+    # evaluation (U^d and U^td join navigation by nav_join, not by a bucket)
+    G, q = _two_labels(), parse_query("e/T[1,3]/e/T[1,3]/e")
+    calls = []
+    original = ev._uniform
+
+    def counting(G, q, rules):
+        calls.append(q)
+        return original(G, q, rules)
+
+    monkeypatch.setattr(ev, "_uniform", counting)
+    counts = []
+    for _ in range(2):
+        calls.clear()
+        got = evaluator(G, q)
+        counts.append(len(calls))
+    monkeypatch.undo()
+    built = 0 if kind in ("d", "td") else 2
+    assert counts == [built, built]
+    assert {(what, leaf) for _, what, leaf in G._leaves} == {("set", q_.Label("e")),
+                                                            ("buckets", q_.Label("e"))}
     assert unfold(got, kind) == eval_direct(G, q)
 
 

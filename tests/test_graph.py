@@ -15,7 +15,7 @@ from trpq import (
     serialize_graph,
 )
 from trpq.errors import GraphParseError
-from trpq.graph import TemporalGraph, graphs_equal, scale_graph
+from trpq.graph import TemporalGraph, scale_graph
 from trpq.errors import IntervalDomainError
 from trpq import intervals as iv
 from trpq.tuples import unfold
@@ -55,7 +55,7 @@ def test_self_loop_single_node():
 def test_round_trip_is_fixpoint(running):
     text = serialize_graph(running)
     again = load_graph(text)
-    assert graphs_equal(running, again)
+    assert (again.mode, again.domain, again.facts) == (running.mode, running.domain, running.facts)
     assert serialize_graph(again) == text
 
 
@@ -180,7 +180,7 @@ def test_load_graph_normalises_each_discrete_interval_once(monkeypatch):
 
     monkeypatch.setattr(iv, "normalize_discrete", counting)
     got = load_graph(doc)
-    assert graphs_equal(got, want)
+    assert (got.mode, got.domain, got.facts) == (want.mode, want.domain, want.facts)
     assert len(calls) == 1 + 5  # the domain and each fact interval
     assert got.val("a", "e", "b") == (iv.closed(1, 5), iv.closed(7, 9))
 
@@ -240,7 +240,8 @@ def test_graph_built_through_the_api_puts_its_facts_in_canonical_form():
     assert g.domain == iv.closed(1, 20)
     assert g.val("a", "e", "b") == intervals("[1,5]", "[7,9]")
     assert g.val("b", "e", "a") == intervals("[4,4]")
-    assert graphs_equal(g, load_graph(serialize_graph(g)))
+    again = load_graph(serialize_graph(g))
+    assert (again.mode, again.domain, again.facts) == (g.mode, g.domain, g.facts)
     dense = TemporalGraph("dense", iv.closed(0, 10), {
         ("a", "e", "b"): intervals("[6,7]", "(1,3)", "[2,4)"),
     })
