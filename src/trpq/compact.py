@@ -5,13 +5,15 @@ representations there is no unique minimum; this module provides subsumption
 removal, a deterministic greedy reducer (no optimality claim), and an
 exponential exact minimizer for tiny discrete instances that serves as a test
 oracle (overlapping covers or disjoint ones).  Subsumption removal and greedy
-reduction return their input when they drop or merge nothing; the greedy
-reducer rejects two discrete U^c tuples whose taus neither meet nor touch
-before it enumerates any cell.
+reduction return their input when they drop or merge nothing.  Both scan one
+node pair's tuples in order of lo(tau) and stop where no cover or merge can
+follow: a cover of u starts no later than u, and two tuples cover or merge
+only when their taus meet or touch.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from itertools import combinations_with_replacement, groupby, product
 from typing import Optional
 
@@ -62,19 +64,20 @@ def _coalesce_rows(s: AnswerSet, kind: str, make, *, fixed: str, folded: str) ->
     ])
 
 
-def _covers_fn(kind: str):
-    if kind == "td":
-        return td_covers
-    if kind == "c":
-        return c_covers
-    raise ValueError(f"subsumption is defined for U^td and U^c, got {kind!r}")
+def _pairwise(s: AnswerSet, what: str):
+    """The cover test and the merge rule of ``s``'s kind; ``what`` names the caller in errors."""
+    if s.kind == "td":
+        return td_covers, _merge_td
+    if s.kind == "c":
+        return c_covers, _merge_c
+    raise ValueError(f"{what} is defined for U^td and U^c, got {s.kind!r}")
 
 
 def _pair_runs(s: AnswerSet):
     """The tuples of each node pair (n1, n2), one list per pair, in canonical order.
 
-    Tuples of different pairs never cover or merge with each other, and
-    ``tuple_sort_key`` starts with (n1, n2), so each pair is one contiguous run.
+    Tuples of different pairs never cover or merge, and ``tuple_sort_key`` starts
+    with (n1, n2, lo(tau)): each pair is one contiguous run, in order of lo(tau).
     """
     for _, run in groupby(s.tuples, key=lambda u: (u.n1, u.n2)):
         yield list(run)
@@ -85,18 +88,19 @@ def remove_subsumed(s: AnswerSet) -> AnswerSet:
 
     Of two tuples with equal unfoldings the earlier one in canonical order stays.
     """
-    dominates = _covers_fn(s.kind)
+    covers, _ = _pairwise(s, "subsumption")
     kept = []
     for run in _pair_runs(s):
+        if len(run) == 1:  # most pairs hold one tuple, which is kept without a scan
+            kept += run
+            continue
+        los = [u.tau.lo for u in run]
         for i, u in enumerate(run):
-            dominated = False
-            for j, v in enumerate(run):
-                if i == j:
-                    continue
-                if dominates(v, u) and (not dominates(u, v) or j < i):
-                    dominated = True
+            # a cover of u starts no later than u
+            for j, v in enumerate(run[:bisect_right(los, u.tau.lo)]):
+                if j != i and covers(v, u) and (not covers(u, v) or j < i):
                     break
-            if not dominated:
+            else:
                 kept.append(u)
     return s if len(kept) == len(s) else AnswerSet(s.kind, s.mode, kept)
 
@@ -106,13 +110,7 @@ def remove_subsumed(s: AnswerSet) -> AnswerSet:
 # --------------------------------------------------------------------------
 
 
-def _try_merge_td(a: TDTuple, b: TDTuple, discrete: bool) -> Optional[TDTuple]:
-    if (a.n1, a.n2) != (b.n1, b.n2):
-        return None
-    if td_covers(a, b):
-        return a
-    if td_covers(b, a):
-        return b
+def _merge_td(a: TDTuple, b: TDTuple, discrete: bool) -> Optional[TDTuple]:
     if a.delta == b.delta and iv.union_is_interval(a.tau, b.tau, discrete=discrete):
         return TDTuple(a.n1, a.n2, iv.hull(a.tau, b.tau), a.delta)
     if a.tau == b.tau and iv.union_is_interval(a.delta, b.delta, discrete=discrete):
@@ -120,24 +118,14 @@ def _try_merge_td(a: TDTuple, b: TDTuple, discrete: bool) -> Optional[TDTuple]:
     return None
 
 
-def _try_merge_c(a: CTuple, b: CTuple, discrete: bool) -> Optional[CTuple]:
-    if (a.n1, a.n2) != (b.n1, b.n2):
-        return None
-    if c_covers(a, b):
-        return a
-    if c_covers(b, a):
-        return b
-    if (
-        a.delta == b.delta
-        and a.b == b.b
-        and a.e == b.e
-        and iv.union_is_interval(a.tau, b.tau, discrete=discrete)
-    ):
+def _merge_c(a: CTuple, b: CTuple, discrete: bool) -> Optional[CTuple]:
+    same_crop = (a.delta, a.b, a.e) == (b.delta, b.b, b.e)
+    if same_crop and iv.union_is_interval(a.tau, b.tau, discrete=discrete):
         merged = CTuple(a.n1, a.n2, iv.hull(a.tau, b.tau), a.delta, a.b, a.e)
         if ctuple_valid(merged):
             return merged
-    if not discrete or not iv.union_is_interval(a.tau, b.tau, discrete=True):
-        return None  # over the integers a valid merge has cells at every t of hull(tau)
+    if not discrete:
+        return None
     # hull of the rectangles and of the bands, verified cellwise
     tau = iv.hull(a.tau, b.tau)
     delta = iv.hull(a.delta, b.delta)
@@ -148,6 +136,20 @@ def _try_merge_c(a: CTuple, b: CTuple, discrete: bool) -> Optional[CTuple]:
     return None
 
 
+def _first_merge(tuples: list, covers, merge, discrete: bool):
+    """The first pair (i, j) of a sorted run that covers or merges, and the tuple it leaves."""
+    touch = 1 if discrete else 0
+    for i, a in enumerate(tuples):
+        for j in range(i + 1, len(tuples)):
+            b = tuples[j]
+            if b.tau.lo > a.tau.hi + touch:
+                break  # no later tau meets or touches a's: none covers or merges with a
+            merged = a if covers(a, b) else b if covers(b, a) else merge(a, b, discrete)
+            if merged is not None:
+                return i, j, merged
+    return None
+
+
 def greedy_reduce(s: AnswerSet) -> AnswerSet:
     """Deterministic pairwise merging to a local fixpoint, one node pair at a time.
 
@@ -155,31 +157,16 @@ def greedy_reduce(s: AnswerSet) -> AnswerSet:
     minimality (exact minimization is intractable for these representations).
     A merge always leaves one tuple fewer, so an output of the input's size is the input.
     """
-    if s.kind == "td":
-        merge = _try_merge_td
-    elif s.kind == "c":
-        merge = _try_merge_c
-    else:
-        raise ValueError(f"greedy_reduce is defined for U^td and U^c, got {s.kind!r}")
+    covers, merge = _pairwise(s, "greedy_reduce")
     discrete = s.mode == "discrete"
     out = []
     for tuples in _pair_runs(s):
-        changed = len(tuples) > 1  # a run of one is canonical already
-        while changed:
-            changed = False
+        # a run of one is canonical already
+        while len(tuples) > 1 and (found := _first_merge(tuples, covers, merge, discrete)):
+            i, j, merged = found
+            del tuples[j], tuples[i]
+            tuples.append(merged)
             tuples.sort(key=tuple_sort_key)
-            for i in range(len(tuples)):
-                for j in range(i + 1, len(tuples)):
-                    merged = merge(tuples[i], tuples[j], discrete)
-                    if merged is None:
-                        continue
-                    del tuples[j]
-                    del tuples[i]
-                    tuples.append(merged)
-                    changed = True
-                    break
-                if changed:
-                    break
         out.extend(tuples)
     return s if len(out) == len(s) else AnswerSet(s.kind, s.mode, out)
 

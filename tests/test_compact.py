@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 from trpq import compact, eval_c, eval_direct, eval_t, eval_td, load_graph, parse_query
 from trpq import intervals as iv
 from trpq.compact import (
-    _try_merge_c,
-    _try_merge_td,
+    _merge_c,
+    _merge_td,
     coalesce_d,
     coalesce_t,
     greedy_reduce,
@@ -300,8 +300,12 @@ def _reference_remove_subsumed(s):
 
 
 def _reference_greedy_reduce(s):
-    """Greedy reduction restarting from the first mergeable pair of the whole list."""
-    merge = _try_merge_td if s.kind == "td" else _try_merge_c
+    """Greedy reduction restarting from the first mergeable pair of the whole list.
+
+    It tries every pair, with no stop at a tuple out of reach, and applies the
+    node-pair check and the cover rule itself.
+    """
+    covers, merge = (td_covers, _merge_td) if s.kind == "td" else (c_covers, _merge_c)
     discrete = s.mode == "discrete"
     tuples = list(s.tuples)
     changed = True
@@ -310,7 +314,10 @@ def _reference_greedy_reduce(s):
         tuples.sort(key=tuple_sort_key)
         for i in range(len(tuples)):
             for j in range(i + 1, len(tuples)):
-                merged = merge(tuples[i], tuples[j], discrete)
+                a, b = tuples[i], tuples[j]
+                if (a.n1, a.n2) != (b.n1, b.n2):
+                    continue
+                merged = a if covers(a, b) else b if covers(b, a) else merge(a, b, discrete)
                 if merged is None:
                     continue
                 del tuples[j]
@@ -438,6 +445,24 @@ def test_greedy_reduce_on_c_enumerates_no_cells_for_pairs_that_cannot_merge(monk
         return original(u)
 
     monkeypatch.setattr(compact, "cells", counting)
+    got = greedy_reduce(s)
+    monkeypatch.undo()
+    assert len(s) == 60 and got is s
+    assert len(calls) < 4 * len(s)
+
+
+def test_greedy_reduce_compares_a_tuple_only_with_the_tuples_in_its_reach(monkeypatch):
+    # a run is in order of lo(tau), so the scan for a tuple stops at the first later
+    # one whose tau neither meets nor touches its own; a scan of all pairs made 59
+    s = remove_subsumed(eval_c(_comb(60), parse_query("e/T[0,7]/e")))
+    calls = []
+    original = compact.c_covers
+
+    def counting(u, v):
+        calls.append((u, v))
+        return original(u, v)
+
+    monkeypatch.setattr(compact, "c_covers", counting)
     got = greedy_reduce(s)
     monkeypatch.undo()
     assert len(s) == 60 and got is s
