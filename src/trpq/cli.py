@@ -334,14 +334,17 @@ def _build_parser() -> _Parser:
         p.add_argument("--max-iterations", type=int, default=None,
                        help=f"fixpoint round cap (default: env TRPQ_MAX_ITER or {MAX_ITERATIONS})")
 
+    def answer_form(p):
+        p.add_argument("--repr", required=True, choices=KINDS)
+        p.add_argument("--coalesce", action="store_true",
+                       help="coalesce the answer set (repr t or d)")
+        p.add_argument("--minimize", choices=("exact", "greedy"), default=None)
+        p.add_argument("--disjoint", action="store_true",
+                       help="forbid overlapping rectangles in exact minimization")
+
     p_eval = sub.add_parser("eval", help="evaluate a query")
     common(p_eval)
-    p_eval.add_argument("--repr", required=True, choices=KINDS)
-    p_eval.add_argument("--coalesce", action="store_true",
-                        help="coalesce the answer set (repr t or d)")
-    p_eval.add_argument("--minimize", choices=("exact", "greedy"), default=None)
-    p_eval.add_argument("--disjoint", action="store_true",
-                        help="forbid overlapping rectangles in exact minimization")
+    answer_form(p_eval)
     p_eval.set_defaults(func=_cmd_eval)
 
     p_stats = sub.add_parser("stats", help="scaling sweep, CSV output")
@@ -356,11 +359,8 @@ def _build_parser() -> _Parser:
 
     p_plot = sub.add_parser("plot", help="SVG rendering of one pair's answer region")
     common(p_plot)
-    p_plot.add_argument("--repr", required=True, choices=KINDS)
+    answer_form(p_plot)
     p_plot.add_argument("--pair", required=True, nargs=2, metavar=("N1", "N2"))
-    p_plot.add_argument("--coalesce", action="store_true")
-    p_plot.add_argument("--minimize", choices=("exact", "greedy"), default=None)
-    p_plot.add_argument("--disjoint", action="store_true")
     p_plot.add_argument("--out", default=None, help="output file (default: stdout)")
     p_plot.set_defaults(func=_cmd_plot)
     return parser

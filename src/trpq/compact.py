@@ -5,15 +5,15 @@ representations there is no unique minimum; this module provides subsumption
 removal, a deterministic greedy reducer (no optimality claim), and an
 exponential exact minimizer for tiny discrete instances that serves as a test
 oracle (overlapping covers or disjoint ones).  Subsumption removal and greedy
-reduction return their input when they drop or merge nothing.  Both scan one
-node pair's tuples in order of lo(tau) and stop where no cover or merge can
-follow: a cover of u starts no later than u, and two tuples cover or merge
-only when their taus meet or touch.
+reduction return their input when they drop or merge nothing.  Both run one
+scan per node pair, in order of lo(tau), that compares a tuple only with the
+later ones whose taus meet or touch its own, as only those cover or merge; a
+cover keeps the scan going, a merge restarts it.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import insort
 from itertools import combinations_with_replacement, groupby, product
 from typing import Optional
 
@@ -83,26 +83,49 @@ def _pair_runs(s: AnswerSet):
         yield list(run)
 
 
+def _reduce(s: AnswerSet, covers, merge) -> AnswerSet:
+    """Drop covered tuples and, unless ``merge`` is None, merge pairs, per node pair.
+
+    The scan tries each tuple ``a`` of a run with the later tuples ``b`` in reach.
+    A cover deletes the covered tuple (on a mutual cover ``a`` stays) and the scan
+    goes on, as the pairs it passed stay inert; a merge inserts the merged tuple
+    in order and the scan restarts.  Each action leaves one tuple fewer.
+    """
+    discrete = s.mode == "discrete"
+    touch = 1 if discrete else 0
+    out = []
+    for run in _pair_runs(s):
+        i = 0
+        while i < len(run) - 1:  # the last tuple has no later one to try
+            a, j = run[i], i + 1
+            # past the first b whose tau starts after a's ends (+ touch), none meets a's
+            while j < len(run) and run[j].tau.lo <= a.tau.hi + touch:
+                b = run[j]
+                if covers(a, b):
+                    del run[j]
+                    continue
+                if covers(b, a):
+                    del run[i]
+                    break
+                merged = merge(a, b, discrete) if merge else None
+                if merged is not None:
+                    del run[j], run[i]
+                    insort(run, merged, key=tuple_sort_key)
+                    i = 0
+                    break
+                j += 1
+            else:
+                i += 1
+        out += run
+    return s if len(out) == len(s) else AnswerSet(s.kind, s.mode, out)
+
+
 def remove_subsumed(s: AnswerSet) -> AnswerSet:
     """Drop tuples whose unfolding is contained in a single other tuple's.
 
     Of two tuples with equal unfoldings the earlier one in canonical order stays.
     """
-    covers, _ = _pairwise(s, "subsumption")
-    kept = []
-    for run in _pair_runs(s):
-        if len(run) == 1:  # most pairs hold one tuple, which is kept without a scan
-            kept += run
-            continue
-        los = [u.tau.lo for u in run]
-        for i, u in enumerate(run):
-            # a cover of u starts no later than u
-            for j, v in enumerate(run[:bisect_right(los, u.tau.lo)]):
-                if j != i and covers(v, u) and (not covers(u, v) or j < i):
-                    break
-            else:
-                kept.append(u)
-    return s if len(kept) == len(s) else AnswerSet(s.kind, s.mode, kept)
+    return _reduce(s, _pairwise(s, "subsumption")[0], None)
 
 
 # --------------------------------------------------------------------------
@@ -136,39 +159,13 @@ def _merge_c(a: CTuple, b: CTuple, discrete: bool) -> Optional[CTuple]:
     return None
 
 
-def _first_merge(tuples: list, covers, merge, discrete: bool):
-    """The first pair (i, j) of a sorted run that covers or merges, and the tuple it leaves."""
-    touch = 1 if discrete else 0
-    for i, a in enumerate(tuples):
-        for j in range(i + 1, len(tuples)):
-            b = tuples[j]
-            if b.tau.lo > a.tau.hi + touch:
-                break  # no later tau meets or touches a's: none covers or merges with a
-            merged = a if covers(a, b) else b if covers(b, a) else merge(a, b, discrete)
-            if merged is not None:
-                return i, j, merged
-    return None
-
-
 def greedy_reduce(s: AnswerSet) -> AnswerSet:
     """Deterministic pairwise merging to a local fixpoint, one node pair at a time.
 
     Unfolding-preserving and never larger than the input; makes no claim of
     minimality (exact minimization is intractable for these representations).
-    A merge always leaves one tuple fewer, so an output of the input's size is the input.
     """
-    covers, merge = _pairwise(s, "greedy_reduce")
-    discrete = s.mode == "discrete"
-    out = []
-    for tuples in _pair_runs(s):
-        # a run of one is canonical already
-        while len(tuples) > 1 and (found := _first_merge(tuples, covers, merge, discrete)):
-            i, j, merged = found
-            del tuples[j], tuples[i]
-            tuples.append(merged)
-            tuples.sort(key=tuple_sort_key)
-        out.extend(tuples)
-    return s if len(out) == len(s) else AnswerSet(s.kind, s.mode, out)
+    return _reduce(s, *_pairwise(s, "greedy_reduce"))
 
 
 # --------------------------------------------------------------------------
@@ -177,15 +174,15 @@ def greedy_reduce(s: AnswerSet) -> AnswerSet:
 
 
 def _regions_by_pair(s: AnswerSet) -> dict[tuple[str, str], set]:
+    """The cells of each node pair, refused as soon as one pair passes ``_MAX_CELLS``."""
     regions: dict[tuple[str, str], set] = {}
     for u in s:
-        regions.setdefault((u.n1, u.n2), set()).update(cells(u))
-    for pair, region in regions.items():
-        if len(region) > _MAX_CELLS:
-            raise MinimizeGuardError(
-                f"answer region for {pair} has {len(region)} cells "
-                f"(the exact minimizer is guarded at {_MAX_CELLS})"
-            )
+        region = regions.setdefault((u.n1, u.n2), set())
+        for cell in cells(u):
+            region.add(cell)
+            if len(region) > _MAX_CELLS:
+                raise MinimizeGuardError(f"answer region for {(u.n1, u.n2)} has more than "
+                                         f"{_MAX_CELLS} cells (the exact minimizer's limit)")
     return regions
 
 

@@ -162,6 +162,24 @@ def test_minimize_guard():
         minimize_exact(s)
 
 
+def test_minimize_guard_refuses_before_it_enumerates_the_region(monkeypatch):
+    # the region of a wide tuple was enumerated in full before its size was checked
+    s = aset("td", [TDTuple("a", "b", C(0, 10**9), C(0, 0))])
+    enumerated = []
+    original = compact.cells
+
+    def counting(u):
+        for cell in original(u):
+            enumerated.append(cell)
+            assert len(enumerated) <= 65, "the guard let more than 65 cells through"
+            yield cell
+
+    monkeypatch.setattr(compact, "cells", counting)
+    with pytest.raises(MinimizeGuardError) as err:
+        minimize_exact(s)
+    assert "more than 64 cells" in str(err.value)
+
+
 def test_minimum_covers_l_shape():
     s = aset("td", [TDTuple("a", "b", C(0, 1), C(0, 2)), TDTuple("a", "b", C(0, 2), C(0, 1))])
     covers = minimum_covers(s, "overlapping")
@@ -467,6 +485,41 @@ def test_greedy_reduce_compares_a_tuple_only_with_the_tuples_in_its_reach(monkey
     monkeypatch.undo()
     assert len(s) == 60 and got is s
     assert len(calls) < 4 * len(s)
+
+
+def test_remove_subsumed_compares_a_tuple_only_with_the_tuples_in_its_reach(monkeypatch):
+    # the scan of a tuple compared it with every tuple that starts no later: 1,828 calls
+    s = eval_c(_comb(60), parse_query("e/T[0,7]/e"))
+    calls = []
+    original = compact.c_covers
+
+    def counting(u, v):
+        calls.append((u, v))
+        return original(u, v)
+
+    monkeypatch.setattr(compact, "c_covers", counting)
+    got = remove_subsumed(s)
+    monkeypatch.undo()
+    assert len(got) == 60
+    assert len(calls) < 4 * len(s)
+
+
+def test_greedy_reduce_goes_on_after_a_cover_without_sorting_again(monkeypatch):
+    # one tuple covers 200 others; restarting and sorting after each cover made 20,100 calls
+    wide = TDTuple("a", "b", C(0, 200), C(0, 5))
+    s = aset("td", [wide] + [TDTuple("a", "b", C(t, t), C(1, 2)) for t in range(1, 201)])
+    calls = []
+    original = compact.tuple_sort_key
+
+    def counting(u):
+        calls.append(u)
+        return original(u)
+
+    monkeypatch.setattr(compact, "tuple_sort_key", counting)
+    got = greedy_reduce(s)
+    monkeypatch.undo()
+    assert got == aset("td", [wide])
+    assert len(calls) < 200
 
 
 # --- API guards ----------------------------------------------------------------
