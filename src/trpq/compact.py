@@ -32,7 +32,6 @@ from .tuples import (
     ctuple_valid,
     td_covers,
     tuple_sort_key,
-    unfold,
 )
 
 _MAX_CELLS = 64
@@ -261,40 +260,6 @@ def _search_covers(region: frozenset, candidates: list, disjoint: bool) -> list[
     return found
 
 
-def _minimize_rows(s: AnswerSet) -> AnswerSet:
-    """Minimum covers in U^t / U^d: count maximal runs per row of the region.
-
-    Independent of the coalescing implementation: works on the unfolded
-    points directly.
-    """
-    points = unfold(s, s.kind)
-    rows: dict[tuple, list[int]] = {}
-    for p in points:
-        if s.kind == "t":
-            rows.setdefault((p.n1, p.n2, p.d), []).append(p.t)
-        else:
-            rows.setdefault((p.n1, p.n2, p.t), []).append(p.d)
-    out = []
-    for key, values in rows.items():
-        values = sorted(set(values))
-        run_start = prev = values[0]
-        runs = []
-        for v in values[1:]:
-            if v == prev + 1:
-                prev = v
-                continue
-            runs.append((run_start, prev))
-            run_start = prev = v
-        runs.append((run_start, prev))
-        n1, n2, fixed = key
-        for lo, hi in runs:
-            if s.kind == "t":
-                out.append(TTuple(n1, n2, iv.closed(lo, hi), fixed))
-            else:
-                out.append(DTuple(n1, n2, fixed, iv.closed(lo, hi)))
-    return AnswerSet(s.kind, s.mode, out)
-
-
 def _check_exact(s: AnswerSet, mode: str, kinds: tuple[str, ...]) -> None:
     if mode not in ("overlapping", "disjoint"):
         raise ValueError(f"unknown minimization mode {mode!r}")
@@ -332,14 +297,15 @@ def minimum_covers(s: AnswerSet, mode: str = "overlapping") -> list[AnswerSet]:
 def minimize_exact(s: AnswerSet, mode: str = "overlapping") -> AnswerSet:
     """A minimum-cardinality answer set with the same unfolding (brute force).
 
-    For U^t / U^d the minimum is the per-row run count and coincides with
-    coalescing; for U^td / U^c candidate rectangles (cropped rectangles) are
-    generated from region coordinates and a minimum set cover is found by
-    branch and bound, per node pair.  Guarded to tiny discrete instances.
+    For U^t / U^d the minimum is the per-row run count, which coalescing
+    gives: it is ``coalesce_t`` / ``coalesce_d``, at any width.  For U^td /
+    U^c candidate rectangles (cropped rectangles) are generated from region
+    coordinates and a minimum set cover is found by branch and bound, per
+    node pair.  Guarded to tiny discrete instances.
     """
     _check_exact(s, mode, ("t", "d", "td", "c"))
     if s.kind in ("t", "d"):
-        return _minimize_rows(s)
+        return coalesce_t(s) if s.kind == "t" else coalesce_d(s)
     chosen = []
     for pair, region in sorted(_regions_by_pair(s).items()):
         covers = _pair_covers(s, pair, region, mode)

@@ -43,11 +43,11 @@ so the graph keeps them for every evaluation: ``e/e/e`` builds and buckets
 ``e`` once.  Every other leaf is built where it occurs.  Navigation, a time
 bound and a node filter, negated or not, have one time shape at every node,
 so as a join's right operand they are not copied per node: their nodes share
-one bucket of their tuples at the placeholder node "".  Within one join, a
-result's time fields depend only on the operands' time fields, so each
-distinct pair of time shapes is joined once and copied, canonical form and
-all, to the other node pairs; every join actually made still checks operands
-and result.
+one bucket of their tuples at the placeholder node "", probed once per time
+shape of the left operand.  Within one join, a result's time fields depend
+only on the operands' time fields, so each distinct pair of time shapes is
+joined once and copied, canonical form and all, to the other node pairs;
+every join actually made still checks operands and result.
 """
 
 from __future__ import annotations
@@ -62,15 +62,13 @@ from . import intervals as iv
 from . import query as q_
 from .errors import DenseInfeasibleError, FixpointLimitError, InvalidTupleError
 from .graph import TemporalGraph, _on_grid, graph_nodes
-from .intervals import Interval
+from .intervals import Interval, _meet, _new
 from .query import MAX_ITERATIONS
 from .tuples import (
     CTuple,
     DTuple,
     TDTuple,
     TTuple,
-    admissible_window,
-    arrival_times,
     ctuple_valid,
     render_tuple,
     tuple_sort_key,
@@ -80,6 +78,7 @@ KINDS = ("point", "t", "d", "td", "c")
 
 _ZERO = iv.point(0)
 _flat_td = partial(TDTuple, delta=_ZERO)
+_NO_BUCKET = ((), (), 0)  # the bucket of a node that holds no tuple of the right operand
 
 
 class AnswerSet:
@@ -251,44 +250,54 @@ def _join_sets(A, buckets, rules: _Rules) -> set:
     """All compositions of a tuple of A with a tuple of B that it chains into.
 
     ``buckets`` is ``_buckets(B)``, or ``_uniform``'s shared bucket, whose tuples
-    stand at "" for (n2 of u1, n2 of u1).  A tuple u1 of A whose arrivals lie within
-    the closed hull [lo, hi] of tau + delta can only chain into the tuples of
-    its bucket whose tau meets that hull: those with lo(tau) <= hi, which
-    start no earlier than lo minus the bucket's widest tau, and with
-    hi(tau) >= lo.  The rest would produce nothing, so they are not probed.
-    With ``rules.ordered`` the pairs are probed in canonical order, so that
-    the first join to fail is always the same one.
+    stand at "" for (n2 of u1, n2 of u1).  A tuple u1 of A arrives within the
+    closed hull [lo, hi] of tau + delta, so only the tuples of its bucket whose
+    tau meets that hull are probed: lo(tau) <= hi, bisected from lo minus the
+    bucket's widest tau, and hi(tau) >= lo.  With ``rules.ordered`` the pairs
+    are probed in canonical order, so that the first join to fail is always
+    the same one.
 
-    The time fields of a join depend only on the operands' time fields (all
-    but the two nodes), never on their nodes.  So each distinct pair of time
-    shapes is joined once per call, and a later pair with the same shapes
-    takes those results with its own nodes, (n1 of u1, n2 of u2 or else of u1).
+    The time fields of a join depend only on the operands' time fields, never
+    on their nodes.  So each distinct pair of time shapes is joined once per
+    call, and the other pairs with those shapes take its results with their
+    own nodes: a shared bucket is probed once per time shape of A, by the
+    first tuple of A with that shape.
     """
-    join, ordered = rules.join, rules.ordered
-    joined: dict = {}  # (time shape of u1, time shape of u2) -> join results
+    join, ordered, new = rules.join, rules.ordered, tuple.__new__
     out = set()
+    shared = next(iter(buckets.values()), None)
+    if shared is not None and not shared[1][0].n1:
+        groups: dict = {}  # time shape -> the tuples of A with it that reach the bucket
+        for u1 in sorted(A, key=tuple_sort_key) if ordered else A:
+            if u1.n2 in buckets:
+                groups.setdefault(u1[2:], []).append(u1)
+        los, group, width = shared
+        for u1, *rest in groups.values():
+            lo, hi = u1.tau.lo + u1.delta.lo, u1.tau.hi + u1.delta.hi
+            window = group[bisect_left(los, lo - width) : bisect_right(los, hi)]
+            for u2 in sorted(window, key=tuple_sort_key) if ordered else window:
+                if u2.tau.hi >= lo:
+                    for u in join(u1, new(type(u2), (u1.n2, u1.n2) + u2[2:])):
+                        out.add(u)  # canonical form never reads the nodes: it is not redone
+                        out.update([new(type(u), (m.n1, m.n2) + u[2:]) for m in rest])
+        return out
+    joined: dict = {}  # (time shape of u1, time shape of u2) -> join results
     for u1 in sorted(A, key=tuple_sort_key) if ordered else A:
-        bucket = buckets.get(u1.n2)
-        if bucket is None:
-            continue
-        los, group, width = bucket
+        los, group, width = buckets.get(u1.n2, _NO_BUCKET)
         lo, hi = u1.tau.lo + u1.delta.lo, u1.tau.hi + u1.delta.hi
-        window = group[bisect_left(los, lo - width) : bisect_right(los, hi)]
-        probed = [u2 for u2 in window if u2.tau.hi >= lo]
-        if ordered:
-            probed.sort(key=tuple_sort_key)
-        shape = u1[2:]
-        for u2 in probed:
-            key = (shape, u2[2:])
-            n2 = u2.n2 or u1.n2
-            results = joined.get(key)
-            if results is None:
-                if not u2.n1:
-                    u2 = u2._make((n2, n2, *key[1]))
-                results = joined[key] = join(u1, u2)
-                out.update(results)
-            else:  # canonical form never reads the nodes, so it is not redone
-                out.update(u._make((u1.n1, n2, *u[2:])) for u in results)
+        i, j = bisect_left(los, lo - width), bisect_right(los, hi)
+        if i == j:
+            continue
+        n1, shape = u1.n1, u1[2:]
+        for u2 in sorted(group[i:j], key=tuple_sort_key) if ordered else group[i:j]:
+            if u2.tau.hi >= lo:
+                key = (shape, u2[2:])
+                results = joined.get(key)
+                if results is None:
+                    results = joined[key] = join(u1, u2)
+                    out.update(results)
+                else:
+                    out.update([new(type(u), (n1, u2.n2) + u[2:]) for u in results])
     return out
 
 
@@ -550,25 +559,26 @@ def join_c(u1: CTuple, u2: CTuple) -> Optional[CTuple]:
             raise InvalidTupleError(f"not a valid cropped tuple: {render_tuple(u)}")
     if u1.n2 != u2.n1:
         return None
-    d1 = u1.delta
-    landing = iv.intersect(arrival_times(u1), u2.tau)
+    # on the endpoints, as it runs on every join: only the result's tau and delta are built
+    _, _, (lo1, hi1, lc1, rc1), (dlo, dhi, dlc, drc), b1, e1 = u1
+    _, _, tau2, (dlo2, dhi2, dlc2, drc2), b2, e2 = u2
+    arrivals = b1 + dlo, e1 + dhi, dlc and (lc1 or b1 > lo1), drc and (rc1 or e1 < hi1)
+    landing = _meet(*arrivals, *tau2)
     if landing is None:
         return None
+    lo, hi, lc, rc = landing
     # every landing point is t + d with t in tau1, so this is never empty
-    tau = iv.intersect(iv.mdiff(landing, d1), u1.tau)
-    delta = iv.msum(d1, u2.delta)
-    b = max(u1.b, u2.b - d1.lo)
-    e = min(u1.e, u2.e - d1.hi)
-    # With uniform delimiters the whole window is admissible (join theorem);
-    # mixing open and closed operands can leave a window endpoint whose slice
-    # is empty because its only point sits on a crop line with a delimiter the
-    # tuple cannot carry.  Clip to the admissible times: only crop-line points
-    # are affected, which is the representation's documented boundary gap.
-    ok = admissible_window(delta, b, e)
-    if ok is None:
+    tau = _meet(lo - dhi, hi - dlo, lc and drc, rc and dlc, lo1, hi1, lc1, rc1)
+    b, e = max(b1, b2 - dlo), min(e1, e2 - dhi)
+    dlo, dhi, dlc, drc = dlo + dlo2, dhi + dhi2, dlc and dlc2, drc and drc2  # delta1 oplus delta2
+    # With uniform delimiters the whole window is admissible (join theorem); with
+    # mixed ones a window end can hold only a crop-line point that the tuple cannot
+    # carry.  Clip to the admissible times, ``admissible_window``: the documented gap.
+    if not (b + dlo < e + dhi or (b + dlo == e + dhi and dlc and drc)):
         return None
-    tau = iv.intersect(tau, ok)
-    result = CTuple(u1.n1, u2.n2, tau, delta, b, e)
+    w, closed = dhi - dlo, dlc and drc
+    tau = _new(Interval, _meet(*tau, b - w, e + w, closed, closed))  # nonempty: not checked
+    result = CTuple(u1.n1, u2.n2, tau, _new(Interval, (dlo, dhi, dlc, drc)), b, e)
     if not ctuple_valid(result):
         raise InvalidTupleError(f"join produced an invalid tuple: {render_tuple(result)}")
     return result

@@ -118,6 +118,10 @@ class Interval(_IntervalFields):
         return parse_interval(text)
 
 
+# builds an Interval known to be nonempty, without Interval.__new__'s check
+_new = tuple.__new__
+
+
 def _render(iv: tuple) -> str:
     """The text of an Interval, or of the four fields it would be built from."""
     lo, hi, left_closed, right_closed = iv
@@ -162,7 +166,7 @@ def covers(outer: Interval, inner: Interval) -> bool:
 
 def shift(iv: Interval, d: Number) -> Interval:
     """Pointwise translation: {t + d | t in iv}; delimiters preserved."""
-    return Interval(iv.lo + d, iv.hi + d, iv.left_closed, iv.right_closed)
+    return _new(Interval, (iv.lo + d, iv.hi + d, iv.left_closed, iv.right_closed))
 
 
 def scale(x: Number | Interval, factor: Number) -> Number | Interval:
@@ -182,44 +186,47 @@ def msum(a: Interval, b: Interval) -> Interval:
 
     Each resulting delimiter is closed iff both contributing delimiters are.
     """
-    return Interval(
+    return _new(Interval, (
         a.lo + b.lo,
         a.hi + b.hi,
         a.left_closed and b.left_closed,
         a.right_closed and b.right_closed,
-    )
+    ))
 
 
 def mdiff(a: Interval, b: Interval) -> Interval:
     """Minkowski difference {x - y | x in a, y in b}."""
-    return Interval(
+    return _new(Interval, (
         a.lo - b.hi,
         a.hi - b.lo,
         a.left_closed and b.right_closed,
         a.right_closed and b.left_closed,
-    )
+    ))
 
 
 def intersect(a: Interval, b: Interval) -> Optional[Interval]:
-    """Set intersection; ``None`` signals the empty result.
+    """Set intersection; ``None`` signals the empty result."""
+    fields = _meet(*a, *b)
+    return None if fields is None else _new(Interval, fields)
 
-    At shared endpoints the tighter (open) delimiter wins.
+
+def _meet(alo, ahi, alc, arc, blo, bhi, blc, brc) -> Optional[tuple]:
+    """The fields of the intersection of two intervals given by theirs; None when empty.
+
+    At shared endpoints the tighter (open) delimiter wins.  On raw fields, so that
+    a caller can compose intervals on their endpoints and build only the last one.
     """
-    if a.lo > b.lo or (a.lo == b.lo and not a.left_closed):
-        lo, lc = a.lo, a.left_closed
+    if alo > blo or (alo == blo and not alc):
+        lo, lc = alo, alc
     else:
-        lo, lc = b.lo, b.left_closed
-    if lo == a.lo == b.lo:
-        lc = a.left_closed and b.left_closed
-    if a.hi < b.hi or (a.hi == b.hi and not a.right_closed):
-        hi, rc = a.hi, a.right_closed
+        lo, lc = blo, blc
+    if ahi < bhi or (ahi == bhi and not arc):
+        hi, rc = ahi, arc
     else:
-        hi, rc = b.hi, b.right_closed
-    if hi == a.hi == b.hi:
-        rc = a.right_closed and b.right_closed
-    if lo > hi or (lo == hi and not (lc and rc)):
-        return None
-    return Interval(lo, hi, lc, rc)
+        hi, rc = bhi, brc
+    if lo < hi or (lo == hi and lc and rc):
+        return lo, hi, lc, rc
+    return None
 
 
 def hull(a: Interval, b: Interval) -> Interval:

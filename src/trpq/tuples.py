@@ -107,7 +107,7 @@ def band(c: CTuple) -> Interval:
 def arrival_times(c: CTuple) -> Interval:
     """The values of t + d over a valid c's region: band n (tau oplus delta).
 
-    Made on the endpoints, as it runs on every join: the canonical form keeps
+    Made on the endpoints, as ``join_c`` makes it too: the canonical form keeps
     lo(tau) <= b and e <= hi(tau), so tau's delimiter counts only at b = lo(tau)
     and e = hi(tau).
     """
@@ -135,7 +135,7 @@ def delta_at(c: CTuple, t: Number) -> Optional[Interval]:
 def admissible_window(delta: Interval, b: Number, e: Number) -> Optional[Interval]:
     """band ominus delta, the times whose slice is nonempty; None when the band is empty.
 
-    Made on the endpoints, as it runs on every join: <| b - width, e + width |>.
+    Made on the endpoints, as ``join_c`` makes it too: <| b - width, e + width |>.
     """
     if not _representable(delta, b + delta.lo, e + delta.hi):
         return None

@@ -29,6 +29,7 @@ from trpq.tuples import (
     unfold,
 )
 
+from pointwise import minimize_rows
 from randgen import random_instance
 
 
@@ -93,7 +94,8 @@ def test_coalesce_t_canonical(tuples, rng):
     rng.shuffle(shuffled)
     assert coalesce_t(aset("t", shuffled)) == out  # input order invariant
     assert unfold(s, "t") == unfold(out, "t")  # unfolding preserved
-    assert len(out) == len(minimize_exact(s, "overlapping"))  # pointwise minimal
+    assert out == minimize_rows(s)  # pointwise minimal
+    assert minimize_exact(s, "overlapping") == out
 
 
 # --- subsumption ----------------------------------------------------------------
@@ -154,6 +156,25 @@ def test_minimize_matches_coalesce_for_distances():
         s = aset("d", tuples)
         assert len(minimize_exact(s, "overlapping")) == len(coalesce_d(s))
         assert unfold(minimize_exact(s, "overlapping"), "d") == unfold(s, "d")
+        assert coalesce_d(s) == minimize_rows(s)
+
+
+def test_minimize_exact_on_rows_is_coalescing_at_any_width(monkeypatch):
+    # U^t / U^d rows are minimal once coalesced: no point is enumerated, however wide
+    def refuse(*args):
+        raise AssertionError("minimize_exact enumerated points")
+
+    monkeypatch.setattr(compact, "cells", refuse)
+    monkeypatch.setattr("trpq.tuples.cells", refuse)
+    monkeypatch.setattr("trpq.tuples.unfold", refuse)
+    g = load_graph("mode discrete\ndomain [0,3000000]\na e b [0,3000000]\n")
+    wide_t = eval_t(g, parse_query("e"))
+    wide_d = aset("d", [DTuple("a", "b", 0, C(0, 3000000)), DTuple("a", "b", 0, C(5, 9))])
+    for s, coalesce in ((wide_t, coalesce_t), (wide_d, coalesce_d)):
+        for mode in ("overlapping", "disjoint"):
+            assert minimize_exact(s, mode) == coalesce(s)
+    assert set(minimize_exact(wide_t)) == {TTuple("a", "b", C(0, 3000000), 0)}
+    assert set(minimize_exact(wide_d)) == {DTuple("a", "b", 0, C(0, 3000000))}
 
 
 def test_minimize_guard():

@@ -1,9 +1,12 @@
+import hashlib
+import json
 import math
 import random
 import re
 from collections import Counter
 from fractions import Fraction
 from functools import partial
+from pathlib import Path
 
 import pytest
 
@@ -1120,6 +1123,31 @@ def test_eval_t_and_eval_d_on_the_integer_grid_match_the_plain_evaluation(steps)
     assert grids["t"] > 150 and grids["d"] > 250 and grid_errors > 100
 
 
+# the renders, or error texts, of eval_c and eval_d on the dense instances above,
+# as digests per steps and 100 seeds; after a deliberate output change, rewrite it with
+#     PYTHONPATH=src python tests/test_evaluate.py
+DENSE_GOLDEN = Path(__file__).with_name("golden_dense.json")
+
+
+def _dense_digests():
+    digests = {}
+    for name, steps in _STEPS.items():
+        for kind, evaluate in (("c", eval_c), ("d", eval_d)):
+            for first in range(0, 1000, 100):
+                h = hashlib.sha256()
+                for seed in range(first, first + 100):
+                    G, q = _random_stepped_instance(seed, steps)
+                    h.update(_rendered(evaluate, G, q, max_iterations=25).encode() + b"\0")
+                digests[f"{name}-{kind}-{first}"] = h.hexdigest()
+    return digests
+
+
+def test_dense_eval_c_and_eval_d_match_the_recorded_renders():
+    # every answer and every dense U^d error on 3,000 instances, byte for byte
+    recorded = json.loads(DENSE_GOLDEN.read_text(encoding="utf-8"))
+    assert _dense_digests() == recorded
+
+
 @pytest.mark.parametrize("source", ["randgen", "chains", "edges"])
 def test_dense_eval_d_on_the_half_step_grid_matches_the_plain_evaluation(source):
     grids = 0
@@ -1707,7 +1735,7 @@ def test_discrete_eval_d_sorts_only_its_answer(monkeypatch, running):
     assert unfold(got, "d") == eval_direct(running, q)
 
 
-def test_join_c_runs_once_per_distinct_left_time_shape(monkeypatch):
+def _few_shapes_graph():
     # 40 e-edges over 12 nodes with 4 validity intervals: many node pairs,
     # few time shapes; all end before the domain does, so each meets T[1,3]
     rng = random.Random(3)
@@ -1717,6 +1745,11 @@ def test_join_c_runs_once_per_distinct_left_time_shape(monkeypatch):
     g = graph("discrete", C(0, 20), *[(s, p, o, v) for (s, p, o), v in facts.items()])
     left_shapes = {u[2:] for u in eval_c(g, parse_query("e"))}
     assert len(left_shapes) == 4 and len(facts) > 30
+    return g, left_shapes
+
+
+def test_join_c_runs_once_per_distinct_left_time_shape(monkeypatch):
+    g, left_shapes = _few_shapes_graph()
     calls = []
     original = ev.join_c
 
@@ -1732,6 +1765,34 @@ def test_join_c_runs_once_per_distinct_left_time_shape(monkeypatch):
     per_shape = Counter(u1[2:] for u1 in calls if u1.n1 != "")
     assert per_shape == Counter(left_shapes)
     assert unfold(got, "c") == eval_direct(g, parse_query("e/T[1,3]"))
+
+
+def test_shared_bucket_is_searched_once_per_distinct_left_time_shape(monkeypatch):
+    # T[1,3] is one bucket for every node: a left time shape searches it once,
+    # however many left tuples have that shape
+    g, left_shapes = _few_shapes_graph()
+    expected = eval_c(g, parse_query("e/T[1,3]"))
+    searches = []
+    original = ev.bisect_left
+
+    def counting(los, x):
+        searches.append(x)
+        return original(los, x)
+
+    monkeypatch.setattr(ev, "bisect_left", counting)
+    got = eval_c(g, parse_query("e/T[1,3]"))
+    monkeypatch.undo()
+    assert len(searches) == len(left_shapes) == 4
+    assert got == expected
+    assert unfold(got, "c") == eval_direct(g, parse_query("e/T[1,3]"))
+
+
+def test_a_shared_bucket_fails_at_the_first_left_tuple_in_canonical_order():
+    # both groups keep their navigation whole, then expand against (<=15) and
+    # fail; the error cites the departures of a's group, first in canonical order
+    g = graph("dense", C(0, 20), ("a", "e", "b", [C(8, 12)]), ("c", "e", "d", [C(0, 5)]))
+    with pytest.raises(DenseInfeasibleError, match=re.escape("time point of [8,12]")):
+        eval_d(g, parse_query("e/T[1,3]/(<=15)"))
 
 
 @pytest.mark.parametrize("evaluator, mode, query", [
@@ -2098,3 +2159,7 @@ def test_nesting_at_the_limit_evaluates(shape):
     assert expected
     for kind, evaluator in EVALUATORS:
         assert unfold(evaluator(CHAIN, q), kind) == expected, kind
+
+
+if __name__ == "__main__":
+    DENSE_GOLDEN.write_text(json.dumps(_dense_digests(), indent=1) + "\n", encoding="utf-8")
