@@ -55,7 +55,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from functools import cache, partial
+from functools import partial
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from . import intervals as iv
@@ -113,6 +113,14 @@ class AnswerSet:
 
     def render(self) -> str:
         return "\n".join(render_tuple(u) for u in self.tuples)
+
+
+def _answer_set(kind: str, G: TemporalGraph, items: Iterable) -> AnswerSet:
+    """The AnswerSet of an evaluator's answers; over dense time ``_answers`` ordered them."""
+    out = AnswerSet(kind, G.mode, items if G.discrete else ())
+    if not G.discrete:  # distinct and in canonical order: not sorted again
+        out.tuples = tuple(items)
+    return out
 
 
 class _Rules(NamedTuple):
@@ -338,24 +346,25 @@ def _answers(G: TemporalGraph, q: q_.Trpq, rules: _Rules, cap: int):
 
     Over dense time it runs on a common integer grid: L is the lcm of the
     denominators of the domain's, the facts' and the query's time constants.
-    When L > 1, G and q are scaled by L, evaluated in ``int`` arithmetic, and
-    each answer is scaled back by 1/L, integral endpoints as ``int``.
-    Positive scaling maps dense time onto itself and keeps every comparison,
-    so the canonical form of each tuple, the rounds of each closure and the
-    answer are those of evaluating G and q as they are.  G keeps its scaled
-    copy for the next query; a discrete graph, or L = 1, is evaluated as is.
+    When L > 1, G (which keeps its scaled copy) and q are scaled by L, evaluated
+    in ``int`` arithmetic, sorted while ``int``, and scaled back by 1/L.  Positive
+    scaling maps dense time onto itself and keeps every comparison, so the order
+    and canonical form of the tuples, the rounds of each closure and the answer
+    are those of evaluating G and q as they are.  A dense answer is a list in
+    canonical order, a discrete one the set that ``_evaluate`` makes.
     """
     q = q_.adapt_query(q, G.discrete)
     grid = 1 if G.discrete else math.lcm(G._denominator, _denominator(q))
     if grid > 1:
         try:
             scaled = _evaluate(_on_grid(G, grid), q_.scale_query(q, grid), rules, cap)
-            return _scale_back(scaled, grid)
+            return _scale_back(sorted(scaled, key=tuple_sort_key), grid)
         except DenseInfeasibleError:
             # the error would cite a scaled interval; dense U^d probes pairs in canonical
             # order, which scaling keeps, so off the grid it fails at the same pair
             pass
-    return _evaluate(G, q, rules, cap)
+    out = _evaluate(G, q, rules, cap)
+    return out if G.discrete else sorted(out, key=tuple_sort_key)
 
 
 def _denominator(q: q_.Trpq) -> int:
@@ -369,10 +378,14 @@ def _denominator(q: q_.Trpq) -> int:
     return math.lcm(*found)
 
 
-def _scale_back(answers, grid: int) -> list:
-    """The answers with each time value divided by ``grid``; their canonical form holds as is."""
-    scaled = cache(partial(iv.scale, factor=Fraction(1, grid)))
-    return [u._make((u.n1, u.n2, *map(scaled, u[2:]))) for u in answers]
+def _scale_back(answers: list, grid: int) -> list:
+    """The answers, in their order, with each distinct time value divided by ``grid`` once,
+    an integral one as ``int``; canonical form and nonempty intervals hold, unchecked."""
+    numbers = {x for u in answers for f in u[2:] for x in (f[:2] if type(f) is Interval else (f,))}
+    back = {x: k if r == 0 else Fraction(x, grid) for x in numbers for k, r in [divmod(x, grid)]}
+    return [_new(type(u), (u[0], u[1], *[
+        _new(Interval, (back[f[0]], back[f[1]], f[2], f[3])) if type(f) is Interval else back[f]
+        for f in u[2:]])) for u in answers]
 
 
 # --------------------------------------------------------------------------
@@ -394,7 +407,7 @@ def eval_t(G: TemporalGraph, q: q_.Trpq, *, max_iterations: int = MAX_ITERATIONS
     if not G.discrete:
         _check_dense_t_feasible(q)
     rects = _answers(G, q, _T_RULES, max_iterations)
-    return AnswerSet("t", G.mode, (TTuple(u.n1, u.n2, u.tau, u.delta.lo) for u in rects))
+    return _answer_set("t", G, (TTuple(u.n1, u.n2, u.tau, u.delta.lo) for u in rects))
 
 
 def _join_t(u1: TDTuple, u2: TDTuple) -> tuple[TDTuple, ...]:
@@ -439,11 +452,8 @@ _T_RULES = _Rules(_join_t)
 def eval_d(G: TemporalGraph, q: q_.Trpq, *, max_iterations: int = MAX_ITERATIONS) -> AnswerSet:
     """Inductive evaluation folding distances: tuples (n1, n2, t, delta)."""
     groups = _answers(G, q, _D_RULES[G.discrete], max_iterations)
-    out = []
-    for g in groups if G.discrete else sorted(groups, key=tuple_sort_key):
-        for t in _expand_times(g.tau, G.discrete):
-            out.append(DTuple(g.n1, g.n2, t, g.delta))
-    return AnswerSet("d", G.mode, out)
+    return _answer_set("d", G, (
+        DTuple(g.n1, g.n2, t, g.delta) for g in groups for t in _expand_times(g.tau, G.discrete)))
 
 
 def eval_td(G: TemporalGraph, q: q_.Trpq, *, max_iterations: int = MAX_ITERATIONS) -> AnswerSet:
@@ -586,7 +596,7 @@ def join_c(u1: CTuple, u2: CTuple) -> Optional[CTuple]:
 
 def eval_c(G: TemporalGraph, q: q_.Trpq, *, max_iterations: int = MAX_ITERATIONS) -> AnswerSet:
     """Inductive evaluation with cropped rectangles; finite over both modes."""
-    return AnswerSet("c", G.mode, _answers(G, q, _C_RULES, max_iterations))
+    return _answer_set("c", G, _answers(G, q, _C_RULES, max_iterations))
 
 
 def _uncropped(n1: str, n2: str, tau: Interval, delta: Interval = _ZERO) -> CTuple:

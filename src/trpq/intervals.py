@@ -8,8 +8,8 @@ closed integer bounds with :func:`normalize_discrete`; over the integers every
 nonempty interval has that form, which makes equality and coalescing canonical.
 :func:`scale` multiplies a number or an interval by a positive factor and
 returns an integral value as an ``int``; every evaluator uses it to move a
-dense evaluation onto a common integer grid and back, so that ``int``
-arithmetic replaces ``Fraction``.
+dense evaluation onto a common integer grid, so that ``int`` arithmetic
+replaces ``Fraction``; ``evaluate._scale_back`` divides the answers back.
 
 >>> msum(closed(100, 101), closed(3, 5))
 Interval(103, 106)
@@ -58,25 +58,30 @@ def parse_number(text: str) -> Number:
 
 
 def format_number(x: Number) -> str:
-    """The exact text of a number: an integer, or ``p/q``.
+    """The exact text of a number, as ``str`` prints it: an integer, or ``p/q``.
 
-    A number with more digits than the interpreter converts to text (4,300 by
-    default) raises TrpqError; the limit is not raised.
-    """
+    More digits than the interpreter converts to text (4,300 by default) raise TrpqError."""
     try:
-        # int first: an isinstance check against Fraction is an ABC lookup
-        if type(x) is int or not isinstance(x, Fraction):
-            return str(x)
-        if x.denominator == 1:
-            return str(x.numerator)
-        return f"{x.numerator}/{x.denominator}"
+        return str(x)
     except ValueError:
-        limit = sys.get_int_max_str_digits()
-        raise TrpqError(f"cannot print a number of more than {limit:,} digits") from None
+        raise _too_many_digits() from None
+
+
+def _too_many_digits() -> TrpqError:
+    return TrpqError(f"cannot print a number of more than {sys.get_int_max_str_digits():,} digits")
 
 
 def is_integral(x: Number) -> bool:
     return isinstance(x, int) or x.denominator == 1
+
+
+def _render(iv: tuple) -> str:
+    """The text of an Interval, or of the four fields it would be built from."""
+    lo, hi, left_closed, right_closed = iv
+    try:  # as format_number prints them
+        return f"{'[' if left_closed else '('}{lo},{hi}{']' if right_closed else ')'}"
+    except ValueError:
+        raise _too_many_digits() from None
 
 
 class _IntervalFields(NamedTuple):
@@ -103,8 +108,7 @@ class Interval(_IntervalFields):
             return f"Interval({self.lo!r}, {self.hi!r})"
         return f"Interval.parse({_render(self)!r})"
 
-    def __str__(self):
-        return _render(self)
+    __str__ = _render
 
     def __contains__(self, t: Number) -> bool:
         return contains(self, t)
@@ -120,14 +124,6 @@ class Interval(_IntervalFields):
 
 # builds an Interval known to be nonempty, without Interval.__new__'s check
 _new = tuple.__new__
-
-
-def _render(iv: tuple) -> str:
-    """The text of an Interval, or of the four fields it would be built from."""
-    lo, hi, left_closed, right_closed = iv
-    left = "[" if left_closed else "("
-    right = "]" if right_closed else ")"
-    return f"{left}{format_number(lo)},{format_number(hi)}{right}"
 
 
 def parse_interval(text: str) -> Interval:

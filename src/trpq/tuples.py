@@ -28,7 +28,7 @@ from typing import Iterable, NamedTuple, Optional
 
 from . import intervals as iv
 from .errors import DenseInfeasibleError
-from .intervals import Interval, Number
+from .intervals import Interval, Number, _render
 from .oracle import PointTuple
 
 
@@ -248,17 +248,21 @@ def c_covers(u: CTuple, v: CTuple) -> bool:
 
 
 def render_tuple(u) -> str:
-    kind, num = type(u), iv.format_number
-    if kind is CTuple:
-        return f"c {u.n1} {u.n2} {u.tau} {u.delta} b={num(u.b)} e={num(u.e)}"
-    if kind is TDTuple:
-        return f"td {u.n1} {u.n2} {u.tau} {u.delta}"
-    if kind is TTuple:
-        return f"t {u.n1} {u.n2} {u.tau} {num(u.d)}"
-    if kind is DTuple:
-        return f"d {u.n1} {u.n2} {num(u.t)} {u.delta}"
-    if kind is PointTuple:
-        return f"p {u.n1} {u.n2} {num(u.t)} {num(u.d)}"
+    kind = type(u)
+    try:  # numbers as iv.format_number prints them
+        if kind is CTuple:
+            n1, n2, tau, delta, b, e = u
+            return f"c {n1} {n2} {_render(tau)} {_render(delta)} b={b} e={e}"
+        if kind is TDTuple:
+            return f"td {u.n1} {u.n2} {_render(u.tau)} {_render(u.delta)}"
+        if kind is TTuple:
+            return f"t {u.n1} {u.n2} {_render(u.tau)} {u.d}"
+        if kind is DTuple:
+            return f"d {u.n1} {u.n2} {u.t} {_render(u.delta)}"
+        if kind is PointTuple:
+            return f"p {u.n1} {u.n2} {u.t} {u.d}"
+    except ValueError:
+        raise iv._too_many_digits() from None
     raise TypeError(f"not an answer tuple: {u!r}")
 
 

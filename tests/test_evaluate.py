@@ -1735,6 +1735,46 @@ def test_discrete_eval_d_sorts_only_its_answer(monkeypatch, running):
     assert unfold(got, "d") == eval_direct(running, q)
 
 
+def _half_step_graph():
+    # 30 e-edges over 8 nodes, their endpoints on halves: the common grid is L = 2
+    rng = random.Random(4)
+    nodes = [f"n{k}" for k in range(8)]
+    facts = {}
+    for _ in range(30):
+        lo = Fraction(rng.randint(0, 30), 2)
+        facts[(rng.choice(nodes), "e", rng.choice(nodes))] = [C(lo, lo + Fraction(rng.randint(1, 7), 2))]
+    return graph("dense", C(0, 20), *[(s, p, o, v) for (s, p, o), v in facts.items()])
+
+
+def _numbers(u):
+    return [x for f in u[2:] for x in ((f.lo, f.hi) if isinstance(f, iv.Interval) else (f,))]
+
+
+@pytest.mark.parametrize("kind, query", [("c", "e/T[1,3]/e"), ("t", "e/T[1/2,1/2]/e")])
+def test_dense_answers_are_ordered_on_the_grid(monkeypatch, kind, query):
+    # the grid's answers are sorted once, while every endpoint is an int, and
+    # scaled back in that order: no Fraction is hashed or compared to order them
+    g, q = _half_step_graph(), parse_query(query)
+    evaluate, plain = _ON_AND_OFF_GRID[kind]
+    evaluate(g, q)  # g keeps its grid copy: scaling the graph is not timed here
+    keyed, hashed = [], []
+    original = ev.tuple_sort_key
+
+    def counting(u):
+        keyed.append(u)
+        return original(u)
+
+    monkeypatch.setattr(ev, "tuple_sort_key", counting)
+    monkeypatch.setattr(Fraction, "__hash__", lambda x: hashed.append(x) or hash(x.numerator))
+    got = evaluate(g, q)
+    monkeypatch.undo()
+    assert len(got) > 10 and len(keyed) == len(got) and not hashed
+    assert all(type(x) is int for u in keyed for x in _numbers(u))
+    assert any(isinstance(x, Fraction) for u in got for x in _numbers(u))
+    assert got.tuples == ev.AnswerSet(kind, "dense", got.tuples).tuples
+    assert got == plain(g, q, q_.MAX_ITERATIONS)
+
+
 def _few_shapes_graph():
     # 40 e-edges over 12 nodes with 4 validity intervals: many node pairs,
     # few time shapes; all end before the domain does, so each meets T[1,3]

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from trpq import eval_direct, join_c
 from trpq import intervals as iv
-from trpq.errors import DenseInfeasibleError, EmptyIntervalError
+from trpq.errors import DenseInfeasibleError, EmptyIntervalError, TrpqError
 from trpq.intervals import Interval, Number
 from trpq.oracle import PointTuple
 from trpq.tuples import (
@@ -632,6 +632,29 @@ def test_render_tuple_matches_the_generic_render_for_every_kind():
     assert any("/" in render_tuple(u) and "(" in render_tuple(u) for u in tuples)
     with pytest.raises(TypeError):
         render_tuple(("a", "b", 1, 2))
+
+
+@pytest.mark.parametrize("x", [10**5000, Fraction(1, 10**5000)], ids=["int", "fraction"])
+def test_render_tuple_of_too_many_digits_raises_trpq_error(x):
+    # x bare and as an interval endpoint, in every kind: TrpqError, never a ValueError
+    holds_x, one = (Interval(0, x) if x > 1 else Interval(x, 1)), C(0, 1)
+    tuples = [
+        CTuple("a", "b", one, one, x, x),  # b = x kept bare: beyond tau it cannot slide
+        CTuple("a", "b", holds_x, one, 0, 0),
+        CTuple("a", "b", one, holds_x, 0, 1),
+        TDTuple("a", "b", holds_x, one),
+        TDTuple("a", "b", one, holds_x),
+        TTuple("a", "b", holds_x, 0),
+        TTuple("a", "b", one, x),
+        DTuple("a", "b", x, one),
+        DTuple("a", "b", 0, holds_x),
+        PointTuple("a", "b", x, 0),
+        PointTuple("a", "b", 0, x),
+    ]
+    for u in tuples:
+        assert any(f == x or isinstance(f, Interval) and x in (f.lo, f.hi) for f in u[2:]), u
+        with pytest.raises(TrpqError, match="digits"):
+            render_tuple(u)
 
 
 def test_canonical_parameters_do_not_change_slices():
