@@ -1741,8 +1741,8 @@ def _half_step_graph():
     nodes = [f"n{k}" for k in range(8)]
     facts = {}
     for _ in range(30):
-        lo = Fraction(rng.randint(0, 30), 2)
-        facts[(rng.choice(nodes), "e", rng.choice(nodes))] = [C(lo, lo + Fraction(rng.randint(1, 7), 2))]
+        lo, width = Fraction(rng.randint(0, 30), 2), Fraction(rng.randint(1, 7), 2)
+        facts[(rng.choice(nodes), "e", rng.choice(nodes))] = [C(lo, lo + width)]
     return graph("dense", C(0, 20), *[(s, p, o, v) for (s, p, o), v in facts.items()])
 
 
