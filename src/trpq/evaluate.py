@@ -7,7 +7,7 @@ tuples whose unfolding is exactly the direct answer set:
   interval is a singleton);
 * ``eval_d``  in U^d  (over dense time, feasible only when no step needs to
   enumerate the points of a non-singleton interval);
-* ``eval_td`` in U^td (discrete time only: the groups of ``eval_d`` as they are);
+* ``eval_td`` in U^td (both modes: the groups of ``eval_d`` as they are);
 * ``eval_c``  in U^c  (both modes; the representation closed under join).
 
 All four reach one recursion, ``_evaluate``, through one entry point,
@@ -34,8 +34,8 @@ Navigation T[a, b] is built once, with placeholder nodes that the recursion
 gives each node n as (n, n), as the paper defines it: (domain, [a, b])
 composed with the domain rectangle, ``join(flat(D, [a, b]), flat(D))``.
 U^t's join makes one fixed hop per distance that D can span, since its
-tuples hold one distance each.  ``_per_departure`` composes a wider delta at
-each departure that lands, in U^d's join and in its ``nav_join``.
+tuples hold one distance each.  U^d's join, which its ``nav_join`` shares,
+composes a wider delta at each departure that lands (``_per_departure``).
 
 Three kinds of work are shared.  The set and buckets of a label of the
 graph, its inverse and its test depend only on the graph and ``rules.flat``,
@@ -314,10 +314,11 @@ def _repeat_sets(base, m, n, identity, join_base, cap):
 
     ``join_base(A)`` joins A with ``base``.  k = 0 contributes ``identity``,
     the node-identity relation, which the caller builds only when m = 0.
-    Semi-naive iteration: only tuples new in the previous round are
-    re-joined, and a round that adds none ends the loop, because no later
-    power can add one either.  The round cap applies to unbounded repetition
-    only.
+    Building base^m stops at a power equal to the one before it: every later
+    power equals it too.  Semi-naive iteration: only tuples new in the
+    previous round are re-joined, and a round that adds none ends the loop,
+    because no later power can add one either.  The round cap applies to
+    unbounded repetition only.
     """
     out = set(identity)
     start = max(m, 1)
@@ -325,7 +326,8 @@ def _repeat_sets(base, m, n, identity, join_base, cap):
         return out
     current = set(base)
     for _ in range(start - 1):
-        current = join_base(current)
+        if current == (current := join_base(current)):
+            break  # every later power equals this one; so does an empty one
     total = set(current)
     delta = current
     rounds = 0
@@ -442,11 +444,11 @@ _T_RULES = _Rules(_join_t)
 #
 # A U^d group (n1, n2, tau, delta) stands for one DTuple per time point of
 # tau: it is the U^td rectangle of those points, so ``eval_td`` returns the
-# groups that ``eval_d`` expands.  Node and edge filters give finitely many
-# groups even over dense time; a rule expands a group only where it must, a
-# join and a navigation only at the departures that land, which over dense
-# time is an error unless they are one point.  There groups are expanded in
-# canonical order, so that the error always cites the same interval.
+# groups that ``eval_d`` expands, in both modes.  Node and edge filters give
+# finitely many groups even over dense time; a rule expands a group only where
+# it must, a join and a navigation only at the departures that land, which
+# over dense time is an error unless they are one point.  There groups are
+# expanded in canonical order, so that the error always cites the same interval.
 
 
 def eval_d(G: TemporalGraph, q: q_.Trpq, *, max_iterations: int = MAX_ITERATIONS) -> AnswerSet:
@@ -457,10 +459,8 @@ def eval_d(G: TemporalGraph, q: q_.Trpq, *, max_iterations: int = MAX_ITERATIONS
 
 
 def eval_td(G: TemporalGraph, q: q_.Trpq, *, max_iterations: int = MAX_ITERATIONS) -> AnswerSet:
-    """Inductive evaluation folding both dimensions into plain rectangles."""
-    if not G.discrete:
-        raise DenseInfeasibleError("dense time: U^td may require infinitely many rectangles")
-    return AnswerSet("td", G.mode, _answers(G, q, _D_RULES[True], max_iterations))
+    """Inductive evaluation folding both dimensions into plain rectangles: U^d's groups."""
+    return _answer_set("td", G, _answers(G, q, _D_RULES[G.discrete], max_iterations))
 
 
 def _expand_times(tau: Interval, discrete: bool):
@@ -521,9 +521,9 @@ def _nav_join_d(groups, delta: Interval, G) -> set:
     """The unary rule for a join whose right operand is temporal navigation.
 
     Distances extend by the navigation interval.  A group whose arrivals stay
-    in the domain survives whole; any other is composed with the domain at
-    each departure that lands.  Groups ending at a node absent from the graph
-    have no navigation partner.
+    in the domain survives whole; any other is composed with the domain by
+    U^d's join.  Groups ending at a node absent from the graph have no
+    navigation partner.
     """
     nodes = graph_nodes(G)
     out = set()
@@ -534,7 +534,7 @@ def _nav_join_d(groups, delta: Interval, G) -> set:
         if iv.covers(G.domain, iv.msum(g.tau, extended.delta)):
             out.add(extended)
         else:
-            out.update(_per_departure(extended, _flat_td(g.n2, g.n2, G.domain), G.discrete))
+            out.update(_join_d(G.discrete, extended, _flat_td(g.n2, g.n2, G.domain)))
     return out
 
 

@@ -253,7 +253,7 @@ def union_is_interval(a: Interval, b: Interval, *, discrete: bool) -> bool:
         if a.lo > b.lo:
             a, b = b, a
         return b.lo <= a.hi + 1
-    if a.lo > b.lo or (a.lo == b.lo and not a.left_closed and b.left_closed):
+    if a.lo > b.lo:  # two nonempty intervals with one low always make an interval
         a, b = b, a
     if b.lo < a.hi:
         return True

@@ -54,14 +54,22 @@ def _identity(nodes, domain_points) -> set[PointTuple]:
     return {PointTuple(n, n, t, 0) for n in nodes for t in domain_points}
 
 
+def _power(base: set[PointTuple], k: int) -> set[PointTuple]:
+    """The k-fold composition of ``base``, k >= 1, stopping at a power equal to the one before."""
+    current = set(base)
+    for _ in range(k - 1):
+        before, current = current, _compose(current, base)
+        if current == before:
+            break  # every later power equals this one; so does an empty one
+    return current
+
+
 def _closure(base: set[PointTuple], start: int, max_iterations: int) -> set[PointTuple]:
     """Union of all k-fold compositions of ``base`` for k >= start.
 
     Semi-naive: only tuples derived in the previous round are re-joined.
     """
-    current = set(base)
-    for _ in range(start - 1):
-        current = _compose(current, base)
+    current = _power(base, start)
     total = set(current)
     delta = current
     rounds = 0
@@ -119,17 +127,11 @@ def _eval(G, q, nodes, domain_points, cap) -> set[PointTuple]:
         return out
     if isinstance(q, q_.Repeat):
         base = _eval(G, q.inner, nodes, domain_points, cap)
-        out: set[PointTuple] = set()
-        start = q.m
-        if q.m == 0:
-            out |= _identity(nodes, domain_points)
-            start = 1
+        out = _identity(nodes, domain_points) if q.m == 0 else set()
+        start = max(q.m, 1)
         if q.n is None:
-            out |= _closure(base, start, cap)
-            return out
-        current = set(base)
-        for _ in range(start - 1):
-            current = _compose(current, base)
+            return out | _closure(base, start, cap)
+        current = _power(base, start)
         for k in range(start, q.n + 1):
             if current <= out:
                 break  # this power adds nothing new, so no later one can

@@ -194,10 +194,8 @@ def cells(u: TTuple | DTuple | TDTuple | CTuple):
 
 
 def unfold(tuples, kind: str) -> frozenset[PointTuple]:
-    """The point tuples of a set of ``kind`` tuples, or of an AnswerSet."""
+    """The point tuples of a set of ``t``, ``d``, ``td`` or ``c`` tuples, or of an AnswerSet."""
     items = getattr(tuples, "tuples", tuples)
-    if kind == "point":
-        return frozenset(items)
     if getattr(tuples, "mode", "discrete") != "discrete":
         raise DenseInfeasibleError(f"dense time: unfolding a U^{kind} set is infinite")
     return frozenset(PointTuple(u.n1, u.n2, t, d) for u in items for t, d in cells(u))

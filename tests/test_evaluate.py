@@ -3,6 +3,7 @@ import json
 import math
 import random
 import re
+import time
 from collections import Counter
 from fractions import Fraction
 from functools import partial
@@ -541,8 +542,11 @@ def test_eval_td_discrete_parallelogram():
 
 
 def test_eval_td_dense_rejected(parallelogram):
-    with pytest.raises(DenseInfeasibleError):
-        eval_td(parallelogram, parse_query("e1/T[0,2]/e2"))
+    # where U^d's rules must expand a departure window, with U^d's error
+    q = parse_query("e1/T[0,2]/e2")
+    failed = _outcome(lambda: eval_td(parallelogram, q))
+    assert failed == _outcome(lambda: eval_d(parallelogram, q))
+    assert failed.startswith("DenseInfeasibleError") and failed.endswith("time point of [0,2]")
 
 
 @pytest.mark.parametrize("lo, width", [(0, 0), (0, 3), (-2, 6), (5, 1)])
@@ -1074,10 +1078,15 @@ def _plain_d(G, q, cap):
     ))
 
 
+def _plain_td(G, q, cap):
+    return ev.AnswerSet("td", G.mode, ev._evaluate(G, q, ev._D_RULES[False], cap))
+
+
 _ON_AND_OFF_GRID = {
     "c": (eval_c, _plain_c),
     "t": (eval_t, _plain_t),
     "d": (eval_d, _plain_d),
+    "td": (eval_td, _plain_td),
 }
 
 
@@ -1110,9 +1119,10 @@ def test_eval_c_on_the_integer_grid_matches_the_plain_evaluation(steps):
 @pytest.mark.parametrize("steps", _STEPS.values(), ids=_STEPS)
 def test_eval_t_and_eval_d_on_the_integer_grid_match_the_plain_evaluation(steps):
     # the same instances as eval_c's, and the dense U^d errors, which the grid
-    # run hands back to an evaluation off the grid so that they cite the user's interval
+    # run hands back to an evaluation off the grid so that they cite the user's
+    # interval; eval_td runs U^d's rules too
     grids, grid_errors = Counter(), 0
-    for kind in ("t", "d"):
+    for kind in ("t", "d", "td"):
         for seed in range(300):
             G, q = _random_stepped_instance(seed, steps)
             for cap in (2, 25):
@@ -1120,10 +1130,10 @@ def test_eval_t_and_eval_d_on_the_integer_grid_match_the_plain_evaluation(steps)
             grids[kind] += bool(G._grids)
             if kind == "d" and G._grids:
                 grid_errors += isinstance(_outcome(lambda: eval_d(G, q)), str)
-    assert grids["t"] > 150 and grids["d"] > 250 and grid_errors > 100
+    assert grids["t"] > 150 and grids["d"] > 250 and grids["td"] > 250 and grid_errors > 100
 
 
-# the renders, or error texts, of eval_c and eval_d on the dense instances above,
+# the renders, or error texts, of eval_c, eval_d and eval_td on the dense instances above,
 # as digests per steps and 100 seeds; after a deliberate output change, rewrite it with
 #     PYTHONPATH=src python tests/test_evaluate.py
 DENSE_GOLDEN = Path(__file__).with_name("golden_dense.json")
@@ -1132,7 +1142,7 @@ DENSE_GOLDEN = Path(__file__).with_name("golden_dense.json")
 def _dense_digests():
     digests = {}
     for name, steps in _STEPS.items():
-        for kind, evaluate in (("c", eval_c), ("d", eval_d)):
+        for kind, evaluate in (("c", eval_c), ("d", eval_d), ("td", eval_td)):
             for first in range(0, 1000, 100):
                 h = hashlib.sha256()
                 for seed in range(first, first + 100):
@@ -1143,7 +1153,8 @@ def _dense_digests():
 
 
 def test_dense_eval_c_and_eval_d_match_the_recorded_renders():
-    # every answer and every dense U^d error on 3,000 instances, byte for byte
+    # every answer and every dense U^d error on 3,000 instances, byte for byte,
+    # in U^c, U^d and U^td
     recorded = json.loads(DENSE_GOLDEN.read_text(encoding="utf-8"))
     assert _dense_digests() == recorded
 
@@ -1187,7 +1198,6 @@ def test_eval_c_on_an_integer_graph_with_a_fractional_query_constant(text):
 
 @pytest.mark.parametrize("kind, name", [
     (kind, name) for kind in ("t", "d", "td", "c") for name in ("running.tg", "running_dense.tg")
-    if kind != "td" or name == "running.tg"
 ])
 def test_no_evaluator_builds_a_grid_for_integer_endpoints(kind, name):
     # the join, closure and folded workloads are discrete, so they never pay for a grid
@@ -1508,6 +1518,83 @@ def test_dense_eval_d_matches_eval_c_on_the_half_step_lattice(source):
         assert got == _grid_relations(eval_c(G, q), lambda u: u, grid), (seed, q)
         answered[bool(got)] += 1
     assert answered[True] > 15 and answered[False] > 100
+
+
+# --- dense U^td: the groups of U^d ----------------------------------------------
+
+
+def _lattice_range(interval, N):
+    # the integers k with k/N in the interval, as a closed interval, or None
+    lo, hi = interval.lo * N, interval.hi * N
+    first, last = math.ceil(lo), math.floor(hi)
+    first += first == lo and not interval.left_closed
+    last -= last == hi and not interval.right_closed
+    return C(first, last) if first <= last else None
+
+
+def _lattice_rows(answer, N):
+    # (n1, n2, k) -> the distances at time k/N, on the lattice of step 1/N, as
+    # coalesced ranges of k: equal rows hold equal lattice points
+    rows = {}
+    for u in answer:
+        times = _lattice_range(u.tau, N)
+        for k in iv.iter_points(times) if times else ():
+            sl = delta_at(u, Fraction(k, N)) if isinstance(u, CTuple) else u.delta
+            distances = sl and _lattice_range(sl, N)
+            if distances:
+                rows.setdefault((u.n1, u.n2, k), []).append(distances)
+    return {key: iv.coalesce(ranges, discrete=True) for key, ranges in rows.items()}
+
+
+# eval_c misses (1/2, 9/2) of T[9/2,5) here: the documented mixed-delimiter gap
+_EVAL_C_GAP = {("half", 10)}
+
+
+def test_dense_eval_td_matches_eval_c_on_the_4l_lattice():
+    # L is an instance's integer grid; the lattice of step 1/(4L) holds points
+    # between its grid points too.  Where eval_d answers, it is eval_td's groups
+    # read out per time point; where eval_td fails, eval_d fails alike.
+    seen = Counter()
+    for name, steps in _STEPS.items():
+        for seed in range(1000):
+            G, q = _random_stepped_instance(seed, steps)
+            groups = _outcome(lambda: eval_td(G, q, max_iterations=25))
+            points = _outcome(lambda: eval_d(G, q, max_iterations=25))
+            if isinstance(groups, str):
+                assert groups == points, (name, seed)
+                continue
+            N = 4 * math.lcm(G._denominator, ev._denominator(q))
+            regions = eval_c(G, q, max_iterations=25)
+            same = _lattice_rows(groups, N) == _lattice_rows(regions, N)
+            assert same == ((name, seed) not in _EVAL_C_GAP), (name, seed, q)
+            if not isinstance(points, str):
+                assert list(points) == [DTuple(g.n1, g.n2, g.tau.lo, g.delta) for g in groups]
+                seen["eval_d answers"] += 1
+            seen["answers"] += 1
+    assert seen["answers"] >= 2249 and seen["eval_d answers"] > 1000
+
+
+def test_dense_u_d_navigation_is_associative():
+    # a group that leaves the domain composes with it by U^d's join, so a
+    # one-point navigation stays one rectangle however the join is bracketed
+    G = load_graph("mode dense\ndomain [0,10]\na e b [0,10]\nb f c [5,5]\n")
+    for evaluate, want in ((eval_d, "d a c 4 [1,1]"), (eval_td, "td a c [4,4] [1,1]")):
+        for text in ("e/T[1,1]/f", "e/(T[1,1]/f)"):
+            assert evaluate(G, parse_query(text)).render() == want, (evaluate, text)
+    seen = Counter()
+    for steps in _STEPS.values():
+        for seed in range(100):
+            G = _random_stepped_instance(seed, steps)[0]
+            labels = sorted({p for _, p, _ in G.facts})
+            for e, f in [(e, f) for e in labels for f in labels]:
+                for k in (-2, Fraction(1, 2), Fraction(7, 3)):
+                    nav, e_, f_ = q_.TimeNav(iv.point(k)), q_.Label(e), q_.Label(f)
+                    left, right = q_.Join(q_.Join(e_, nav), f_), q_.Join(e_, q_.Join(nav, f_))
+                    for evaluate in (eval_d, eval_td):
+                        got = _rendered(evaluate, G, left)
+                        assert got == _rendered(evaluate, G, right), (seed, left, evaluate)
+                        seen["error" if "Error" in got else bool(got)] += 1
+    assert seen[True] > 1000 and seen["error"] > 500
 
 
 # --- bucket joins -------------------------------------------------------------
@@ -1943,6 +2030,24 @@ def test_long_bounded_repeat_makes_one_join_round(monkeypatch, running):
     assert out == short and len(out) == 8
 
 
+@pytest.mark.parametrize(
+    "kind, evaluator", EVALUATORS + [("point", eval_direct)], ids=["t", "d", "td", "c", "oracle"]
+)
+def test_a_large_repetition_lower_bound_stops_at_a_repeated_power(running, kind, evaluator):
+    # base^m stops at a power equal to the one before it: every power of
+    # (=Alice) is the first, attends^2 is empty, and on CHAIN the powers of
+    # e + (=a) settle from the third on
+    cases = [
+        (running, "(=Alice)[{m},{m}]", 1), (running, "attends[{m},_]", 2),
+        (CHAIN, "(e + (=a))[{m},{m}]", 3), (CHAIN, "(e + (=a))[{m},_]", 3),
+    ]
+    for G, text, small in cases:
+        started = time.perf_counter()
+        got = evaluator(G, parse_query(text.format(m=3_000_000)))
+        assert time.perf_counter() - started < 1, text
+        assert got == evaluator(G, parse_query(text.format(m=small))), text
+
+
 @pytest.mark.parametrize("query, identities", [("e[1,_]", 0), ("e[2,5]", 0), ("e[0,_]", 4)])
 def test_repeat_builds_the_node_identity_only_when_m_is_zero(query, identities):
     flats = []
@@ -2086,7 +2191,7 @@ def test_label_leaves_kept_by_the_graph_change_no_answer():
     for steps in _STEPS.values():
         for seed in range(100):
             G, q = _random_stepped_instance(seed, steps)
-            for evaluate in [eval_c, eval_d] * 2:
+            for evaluate in [eval_c, eval_d, eval_td] * 2:
                 fresh = load_graph(serialize_graph(G))
                 got = _rendered(evaluate, G, q, max_iterations=25)
                 assert got == _rendered(evaluate, fresh, q, max_iterations=25), (seed, evaluate)

@@ -351,6 +351,48 @@ def test_coalesce_dense_union_preserved(items):
         assert not iv.union_is_interval(a, b, discrete=False)
 
 
+def _random_delimited(rng, step, lo=None):
+    # a nonempty interval on multiples of ``step``, with random delimiters
+    while True:
+        a = step * rng.randint(-4, 4) if lo is None else lo
+        try:
+            x = Interval(a, a + step * rng.randint(0, 4), rng.random() < 0.5, rng.random() < 0.5)
+            if step == 1:
+                iv.normalize_discrete(x)
+            return x
+        except EmptyIntervalError:
+            continue
+
+
+def _covered(a, b, discrete):
+    # whether a and b leave no point of their hull uncovered: over dense time,
+    # checked at the quarter steps, which hold every one-point gap of half steps
+    lo, hi = min(a.lo, b.lo), max(a.hi, b.hi)
+    if discrete:
+        held = points(iv.normalize_discrete(a)) | points(iv.normalize_discrete(b))
+        return held == set(range(min(held), max(held) + 1))
+    steps = (lo + Fraction(k, 4) for k in range(1, int(4 * (hi - lo))))
+    return all(iv.contains(a, t) or iv.contains(b, t) for t in steps)
+
+
+@pytest.mark.parametrize("discrete", [True, False], ids=["discrete", "dense"])
+def test_union_is_interval_is_symmetric_and_exact(discrete):
+    # both operand orders, and half the pairs share their low, often with
+    # different delimiters
+    rng = random.Random(f"union-{discrete}")
+    step = 1 if discrete else Fraction(1, 2)
+    seen = {"lower": 0, "one low, two delimiters": 0}
+    for _ in range(4_000):
+        a = _random_delimited(rng, step)
+        b = _random_delimited(rng, step, a.lo if rng.random() < 0.5 else None)
+        got = iv.union_is_interval(a, b, discrete=discrete)
+        assert got == iv.union_is_interval(b, a, discrete=discrete), (a, b)
+        assert got == _covered(a, b, discrete), (a, b)
+        seen["lower"] += b.lo < a.lo
+        seen["one low, two delimiters"] += a.lo == b.lo and a.left_closed != b.left_closed
+    assert min(seen.values()) > 500
+
+
 # --- contains ----------------------------------------------------------------
 
 
