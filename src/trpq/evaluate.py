@@ -327,7 +327,7 @@ def _repeat_sets(base, m, n, identity, join_base, cap):
     current = set(base)
     for _ in range(start - 1):
         if current == (current := join_base(current)):
-            break  # every later power equals this one; so does an empty one
+            break  # every later power equals it; an empty power ends here too
     total = set(current)
     delta = current
     rounds = 0

@@ -60,7 +60,7 @@ def _power(base: set[PointTuple], k: int) -> set[PointTuple]:
     for _ in range(k - 1):
         before, current = current, _compose(current, base)
         if current == before:
-            break  # every later power equals this one; so does an empty one
+            break  # every later power equals it; an empty power ends here too
     return current
 
 
