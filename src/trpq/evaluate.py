@@ -25,9 +25,10 @@ tuples into zero or more; ``flat(n1, n2, tau, delta=[0, 0])`` builds an
 uncropped tuple: zero-distance for labels, inverses, node filters, negation
 gaps and repetition identities, (domain, delta) for navigation.  Every join
 probes only the tuples of its bucket whose time interval meets the hull of
-tau + delta, where u1 can arrive.  U^d, whose rules U^td shares, adds
-``nav_join``, a join with a trailing navigation as one unary rule, and over
-dense time ``ordered``: pairs go in canonical order, so that an error always
+tau + delta, where u1 can arrive.  U^c and U^d, whose rules U^td shares,
+add ``nav_join``, a join with a trailing navigation as one unary rule that
+keeps a tuple whose arrivals stay in the domain whole, and U^d over dense
+time ``ordered``: pairs go in canonical order, so that an error always
 cites the same interval.
 
 Navigation T[a, b] is built once, with placeholder nodes that the recursion
@@ -314,20 +315,28 @@ def _repeat_sets(base, m, n, identity, join_base, cap):
 
     ``join_base(A)`` joins A with ``base``.  k = 0 contributes ``identity``,
     the node-identity relation, which the caller builds only when m = 0.
-    Building base^m stops at a power equal to the one before it: every later
-    power equals it too.  Semi-naive iteration: only tuples new in the
-    previous round are re-joined, and a round that adds none ends the loop,
-    because no later power can add one either.  The round cap applies to
-    unbounded repetition only.
+    Each power is a function of the one before it, so building base^m stops
+    at a power equal to the one before it, and skips whole periods once a
+    power equals the one saved at the last power-of-two index (Brent's cycle
+    detection): the powers from there on repeat.  Semi-naive iteration: only
+    tuples new in the previous round are re-joined, and a round that adds
+    none ends the loop, because no later power can add one either.  The
+    round cap applies to unbounded repetition only.
     """
     out = set(identity)
     start = max(m, 1)
     if n is not None and n < start:
         return out
-    current = set(base)
-    for _ in range(start - 1):
-        if current == (current := join_base(current)):
+    current = saved = set(base)
+    k = a = 1  # current is base^k, saved is base^a
+    while k < start:
+        before, current, k = current, join_base(current), k + 1
+        if current == before:
             break  # every later power equals it; an empty power ends here too
+        if current == saved:  # the powers cycle with period k - a
+            k = start - (start - k) % (k - a)
+        if k & (k - 1) == 0:
+            saved, a = current, k
     total = set(current)
     delta = current
     rounds = 0
@@ -610,7 +619,46 @@ def _join_c(u1: CTuple, u2: CTuple) -> tuple[CTuple, ...]:
     return () if joined is None else (joined,)
 
 
-_C_RULES = _Rules(_join_c, flat=_uncropped)
+def _nav_join_c(tuples, nav: Interval, G) -> set:
+    """The unary rule for a join whose right operand is temporal navigation.
+
+    A tuple u whose times t + d lie within the domain before and after the
+    navigation, tau + delta and tau + delta + nav, is kept whole with the
+    distances delta + nav.  Each slice shifts by nav and no arrival leaves
+    the domain, so the join with the navigation leaf would crop nothing.
+    The admissible window <| b - w, e + w |> only widens with w, so a valid
+    u gives a valid tuple; b and e are unchanged, so it is canonical too.
+    u is checked as ``join_c`` checks its operands.  Every other tuple is
+    joined with the navigation leaf, as any right operand is: with mixed
+    delimiters u can claim an arrival at an open end of the domain, which
+    that join trims.  A tuple ending at a node absent from the graph has no
+    navigation partner.
+    """
+    nodes, (lo, hi, lc, rc) = graph_nodes(G), G.domain
+    kept: dict = {}  # delta -> (delta + nav, the taus kept whole, or None)
+    out, rest = set(), []
+    for u in tuples:
+        if u.n2 not in nodes:
+            continue
+        found = kept.get(u.delta)
+        if found is None:  # the times t with t + delta and t + delta + nav within the domain
+            wide = iv.msum(u.delta, nav)
+            window = _meet(*[f for d in (u.delta, wide) for f in (
+                lo - d.lo, hi - d.hi, lc or not d.left_closed, rc or not d.right_closed)])
+            found = kept[u.delta] = wide, window and _new(Interval, window)
+        wide, window = found
+        if window is None or not iv.covers(window, u.tau):
+            rest.append(u)
+        elif not ctuple_valid(u):
+            raise InvalidTupleError(f"not a valid cropped tuple: {render_tuple(u)}")
+        else:
+            out.add(_new(CTuple, (u.n1, u.n2, u.tau, wide, u.b, u.e)))
+    if rest:
+        out |= _join_sets(rest, _uniform(G, q_.TimeNav(nav), _C_RULES), _C_RULES)
+    return out
+
+
+_C_RULES = _Rules(_join_c, flat=_uncropped, nav_join=_nav_join_c)
 
 
 EVALUATORS = {"t": eval_t, "d": eval_d, "td": eval_td, "c": eval_c}

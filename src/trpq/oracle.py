@@ -55,13 +55,21 @@ def _identity(nodes, domain_points) -> set[PointTuple]:
 
 
 def _power(base: set[PointTuple], k: int) -> set[PointTuple]:
-    """The k-fold composition of ``base``, k >= 1, stopping at a power equal to the one before."""
-    current = set(base)
-    for _ in range(k - 1):
-        before, current = current, _compose(current, base)
-        if current == before:
-            break  # every later power equals it; an empty power ends here too
-    return current
+    """The k-fold composition of ``base``, k >= 1.
+
+    Each power is a function of the one before it, so once a power equals an
+    earlier one the powers from there on cycle, and base^k is read off the cycle.
+    """
+    powers = [frozenset(base)]  # powers[i] is base^(i + 1)
+    index = {powers[0]: 0}
+    while len(powers) < k:
+        current = frozenset(_compose(powers[-1], base))
+        if current in index:
+            first = index[current]
+            return set(powers[first + (k - 1 - first) % (len(powers) - first)])
+        index[current] = len(powers)
+        powers.append(current)
+    return set(powers[-1])
 
 
 def _closure(base: set[PointTuple], start: int, max_iterations: int) -> set[PointTuple]:

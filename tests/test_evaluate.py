@@ -774,7 +774,8 @@ def _reference_join_c(u1, u2):
 def _random_crop(rng, tau):
     # on tau's ends, inside it, or past either end (a slide, possibly one
     # that cannot be represented)
-    return rng.choice([tau.lo, tau.hi, (tau.lo + tau.hi) / 2, rng.choice(HALF_STEPS) * 2])
+    midpoint = iv.scale(tau.lo + tau.hi, Fraction(1, 2))  # exact: an int when integral
+    return rng.choice([tau.lo, tau.hi, midpoint, rng.choice(HALF_STEPS) * 2])
 
 
 def _random_ctuple(rng, n1, n2):
@@ -1636,7 +1637,7 @@ def _random_join_tuple(rng, kind, dense):
     delta = _random_span(rng, dense, 0, 4)
     if kind == "td":
         return TDTuple(n1, n2, tau, delta)
-    crops = [tau.lo, tau.hi, tau.lo - 2, tau.hi + 2, (tau.lo + tau.hi) / 2]
+    crops = [tau.lo, tau.hi, tau.lo - 2, tau.hi + 2, iv.scale(tau.lo + tau.hi, Fraction(1, 2))]
     return CTuple(n1, n2, tau, delta, rng.choice(crops), rng.choice(crops))
 
 
@@ -1864,7 +1865,7 @@ def test_dense_answers_are_ordered_on_the_grid(monkeypatch, kind, query):
 
 def _few_shapes_graph():
     # 40 e-edges over 12 nodes with 4 validity intervals: many node pairs,
-    # few time shapes; all end before the domain does, so each meets T[1,3]
+    # few time shapes; all end before the domain does, so each meets (<=15)
     rng = random.Random(3)
     nodes = [f"n{k}" for k in range(12)]
     spans = [C(0, 2), C(3, 5), C(4, 9), C(10, 12)]
@@ -1885,20 +1886,17 @@ def test_join_c_runs_once_per_distinct_left_time_shape(monkeypatch):
         return original(u1, u2)
 
     monkeypatch.setattr(ev, "join_c", counting)
-    got = eval_c(g, parse_query("e/T[1,3]"))
+    got = eval_c(g, parse_query("e/(<=15)"))
     monkeypatch.undo()
-    navigation = [u1 for u1 in calls if u1.n1 == ""]  # T[1,3] is built once, for all nodes
-    assert len(navigation) == 1
-    per_shape = Counter(u1[2:] for u1 in calls if u1.n1 != "")
-    assert per_shape == Counter(left_shapes)
-    assert unfold(got, "c") == eval_direct(g, parse_query("e/T[1,3]"))
+    assert Counter(u1[2:] for u1 in calls) == Counter(left_shapes)
+    assert unfold(got, "c") == eval_direct(g, parse_query("e/(<=15)"))
 
 
 def test_shared_bucket_is_searched_once_per_distinct_left_time_shape(monkeypatch):
-    # T[1,3] is one bucket for every node: a left time shape searches it once,
+    # (<=15) is one bucket for every node: a left time shape searches it once,
     # however many left tuples have that shape
     g, left_shapes = _few_shapes_graph()
-    expected = eval_c(g, parse_query("e/T[1,3]"))
+    expected = eval_c(g, parse_query("e/(<=15)"))
     searches = []
     original = ev.bisect_left
 
@@ -1907,11 +1905,93 @@ def test_shared_bucket_is_searched_once_per_distinct_left_time_shape(monkeypatch
         return original(los, x)
 
     monkeypatch.setattr(ev, "bisect_left", counting)
-    got = eval_c(g, parse_query("e/T[1,3]"))
+    got = eval_c(g, parse_query("e/(<=15)"))
     monkeypatch.undo()
     assert len(searches) == len(left_shapes) == 4
     assert got == expected
-    assert unfold(got, "c") == eval_direct(g, parse_query("e/T[1,3]"))
+    assert unfold(got, "c") == eval_direct(g, parse_query("e/(<=15)"))
+
+
+@pytest.mark.parametrize("query, leaving", [
+    ("e/T[1,3]", []),  # every e tuple ends by 12 + 3 <= 20
+    ("e/T[1,9]", [C(10, 12)]),  # 12 + 9 leaves the domain [0,20]
+    ("e/T[-1,0]", [C(0, 2)]),  # 0 - 1 leaves it below
+])
+def test_u_c_navigation_joins_only_the_tuples_that_leave_the_domain(monkeypatch, query,
+                                                                    leaving):
+    # join_c builds the navigation leaf (its one join at the placeholder
+    # node "") and joins it once per time shape of a tuple that leaves the
+    # domain; every other tuple keeps its crop and extends its distances
+    g, _ = _few_shapes_graph()
+    calls = []
+    original = ev.join_c
+
+    def counting(u1, u2):
+        calls.append(u1)
+        return original(u1, u2)
+
+    monkeypatch.setattr(ev, "join_c", counting)
+    got = eval_c(g, parse_query(query))
+    monkeypatch.undo()
+    navigation = [u1 for u1 in calls if u1.n1 == ""]
+    assert len(navigation) == (1 if leaving else 0)
+    assert sorted(u1.tau for u1 in calls if u1.n1 != "") == leaving
+    assert unfold(got, "c") == eval_direct(g, parse_query(query))
+
+
+def _random_nav_ctuple(rng, dense, domain):
+    # a valid cropped tuple around the domain, often past one of its ends,
+    # with mixed delimiters over dense time; None when the draw is not valid
+    tau = _random_span(rng, dense, domain.lo - 1, domain.hi)
+    delta = _random_span(rng, dense, -2, 2)
+    crops = [tau.lo, tau.hi, tau.lo - 2, tau.hi + 2, iv.scale(tau.lo + tau.hi, Fraction(1, 2))]
+    u = CTuple(rng.choice("ab"), rng.choice("abc"), tau, delta, rng.choice(crops),
+               rng.choice(crops))
+    return u if ctuple_valid(u) else None
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["discrete", "dense"])
+def test_nav_join_c_matches_the_navigation_leaf_join(dense):
+    # the U^c rule against every tuple joined with the navigation leaf, for
+    # navigations wide and one point, forward and back; a tuple is kept whole
+    # where tau + delta and tau + delta + nav lie within the domain (an open
+    # end of a dense domain among them), and left to the leaf join where
+    # either leaves it ("before": only tau + delta does)
+    rng = random.Random(f"nav-join-c-{dense}")
+    branches, navs = Counter(), set()
+    for _ in range(2_000):
+        lo = _random_span(rng, dense, -4, 0).lo
+        domain = C(lo, lo + rng.choice([4, 8, 12]))
+        if dense and rng.random() < 0.5:
+            domain = iv.Interval(domain.lo, domain.hi, rng.random() < 0.5, rng.random() < 0.5)
+        G = graph("dense" if dense else "discrete", domain, ("a", "e", "b", [domain]))
+        tuples = {u for u in (_random_nav_ctuple(rng, dense, domain) for _ in range(12)) if u}
+        nav = _random_span(rng, dense, -4, 4)
+        navs.add((nav.is_singleton, nav.lo < 0))
+        leaf = ev._uniform(G, q_.TimeNav(nav), ev._C_RULES)
+        got = ev._nav_join_c(tuples, nav, G)
+        assert got == ev._join_sets(tuples, leaf, ev._C_RULES), (domain, nav, tuples)
+        assert all(ctuple_valid(u) for u in got)
+        for u in tuples:
+            if u.n2 == "c":
+                continue
+            arrivals = iv.msum(u.tau, u.delta)
+            before = iv.covers(domain, arrivals)
+            after = iv.covers(domain, iv.msum(arrivals, nav))
+            branches["kept" if before and after else "before" if after else "leaves"] += 1
+    assert branches["kept"] > 2_000 and branches["leaves"] > 3_000 and branches["before"] > 400
+    assert len(navs) == 4
+
+
+def test_nav_join_c_checks_the_tuples_it_keeps_whole():
+    # an invalid tuple fails as join_c fails on it, whether it stays in the
+    # domain or leaves it
+    G = graph("discrete", C(0, 20), ("a", "e", "b", [C(0, 20)]))
+    invalid = CTuple("a", "b", C(2, 8), C(0, 1), 6, 2)
+    assert not ctuple_valid(invalid)
+    for nav in (C(1, 3), C(15, 15)):
+        with pytest.raises(InvalidTupleError, match="not a valid cropped tuple"):
+            ev._nav_join_c({invalid}, nav, G)
 
 
 def test_a_shared_bucket_fails_at_the_first_left_tuple_in_canonical_order():
@@ -2046,6 +2126,34 @@ def test_a_large_repetition_lower_bound_stops_at_a_repeated_power(running, kind,
         got = evaluator(G, parse_query(text.format(m=3_000_000)))
         assert time.perf_counter() - started < 1, text
         assert got == evaluator(G, parse_query(text.format(m=small))), text
+
+
+# e-powers that cycle: with period 2 on a <-> b, and with period 3 after a
+# lead-in of one power on y -> x -> a -> b -> c -> a (e^2 = e^5)
+TWO_CYCLE = graph("discrete", C(0, 10), ("a", "e", "b", [C(0, 10)]), ("b", "e", "a", [C(0, 10)]))
+LEAD_IN = graph("discrete", C(0, 10), *[
+    (s, "e", o, [C(0, 10)]) for s, o in ("yx", "xa", "ab", "bc", "ca")])
+
+
+@pytest.mark.parametrize(
+    "kind, evaluator", EVALUATORS + [("point", eval_direct)], ids=["t", "d", "td", "c", "oracle"]
+)
+def test_a_large_repetition_lower_bound_skips_whole_periods(kind, evaluator):
+    # base^m skips whole periods once its powers cycle, and reaches the power
+    # of m's residue: the pairs of e^m on the two-node cycle follow m's parity
+    for m in (3_000_000, 3_000_001):
+        started = time.perf_counter()
+        got = evaluator(TWO_CYCLE, parse_query(f"e[{m},{m}]"))
+        assert time.perf_counter() - started < 1, m
+        pairs = {("a", "a"), ("b", "b")} if m % 2 == 0 else {("a", "b"), ("b", "a")}
+        assert {(u.n1, u.n2) for u in got} == pairs
+        assert got == evaluator(TWO_CYCLE, parse_query(f"e[{2 - m % 2},{2 - m % 2}]"))
+    for text, small in [("e[{m},{m}]", "e[{r},{r}]"), ("e[{m},{n}]", "e[2,4]")]:
+        m = 3_000_000
+        started = time.perf_counter()
+        got = evaluator(LEAD_IN, parse_query(text.format(m=m, n=m + 2)))
+        assert time.perf_counter() - started < 1, text
+        assert got == evaluator(LEAD_IN, parse_query(small.format(r=2 + (m - 2) % 3))), text
 
 
 @pytest.mark.parametrize("query, identities", [("e[1,_]", 0), ("e[2,5]", 0), ("e[0,_]", 4)])
