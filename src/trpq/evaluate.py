@@ -44,8 +44,8 @@ so the graph keeps them for every evaluation: ``e/e/e`` builds and buckets
 ``e`` once.  Every other leaf is built where it occurs.  Navigation, a time
 bound and a node filter, negated or not, have one time shape at every node,
 so as a join's right operand they are not copied per node: their nodes share
-one bucket of their tuples at the placeholder node "", probed once per time
-shape of the left operand.  Within one join, a result's time fields depend
+one bucket of their tuples at the placeholder node "", read as standing at
+each left tuple's end node.  Within one join, a result's time fields depend
 only on the operands' time fields, so each distinct pair of time shapes is
 joined once and copied, canonical form and all, to the other node pairs;
 every join actually made still checks operands and result.
@@ -269,27 +269,10 @@ def _join_sets(A, buckets, rules: _Rules) -> set:
     The time fields of a join depend only on the operands' time fields, never
     on their nodes.  So each distinct pair of time shapes is joined once per
     call, and the other pairs with those shapes take its results with their
-    own nodes: a shared bucket is probed once per time shape of A, by the
-    first tuple of A with that shape.
+    own nodes.
     """
     join, ordered, new = rules.join, rules.ordered, tuple.__new__
     out = set()
-    shared = next(iter(buckets.values()), None)
-    if shared is not None and not shared[1][0].n1:
-        groups: dict = {}  # time shape -> the tuples of A with it that reach the bucket
-        for u1 in sorted(A, key=tuple_sort_key) if ordered else A:
-            if u1.n2 in buckets:
-                groups.setdefault(u1[2:], []).append(u1)
-        los, group, width = shared
-        for u1, *rest in groups.values():
-            lo, hi = u1.tau.lo + u1.delta.lo, u1.tau.hi + u1.delta.hi
-            window = group[bisect_left(los, lo - width) : bisect_right(los, hi)]
-            for u2 in sorted(window, key=tuple_sort_key) if ordered else window:
-                if u2.tau.hi >= lo:
-                    for u in join(u1, new(type(u2), (u1.n2, u1.n2) + u2[2:])):
-                        out.add(u)  # canonical form never reads the nodes: it is not redone
-                        out.update([new(type(u), (m.n1, m.n2) + u[2:]) for m in rest])
-        return out
     joined: dict = {}  # (time shape of u1, time shape of u2) -> join results
     for u1 in sorted(A, key=tuple_sort_key) if ordered else A:
         los, group, width = buckets.get(u1.n2, _NO_BUCKET)
@@ -300,13 +283,13 @@ def _join_sets(A, buckets, rules: _Rules) -> set:
         n1, shape = u1.n1, u1[2:]
         for u2 in sorted(group[i:j], key=tuple_sort_key) if ordered else group[i:j]:
             if u2.tau.hi >= lo:
-                key = (shape, u2[2:])
+                n2, key = u2.n2 or u1.n2, (shape, u2[2:])
                 results = joined.get(key)
-                if results is None:
-                    results = joined[key] = join(u1, u2)
+                if results is None:  # u2 at u1's end node, a placeholder's too
+                    results = joined[key] = join(u1, new(type(u2), (u1.n2, n2) + u2[2:]))
                     out.update(results)
-                else:
-                    out.update([new(type(u), (n1, u2.n2) + u[2:]) for u in results])
+                else:  # canonical form never reads the nodes: it is not redone
+                    out.update([new(type(u), (n1, n2) + u[2:]) for u in results])
     return out
 
 

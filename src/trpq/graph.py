@@ -49,6 +49,8 @@ class TemporalGraph:
     _leaves: dict[tuple, object] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.mode not in (DISCRETE, DENSE):
+            raise GraphParseError(f"unknown mode {self.mode!r}")
         by_label: dict[str, list] = {}
         facts: dict[Triple, tuple[Interval, ...]] = {}
         discrete, domain = self.discrete, self.domain

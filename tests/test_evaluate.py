@@ -1876,40 +1876,27 @@ def _few_shapes_graph():
     return g, left_shapes
 
 
-def test_join_c_runs_once_per_distinct_left_time_shape(monkeypatch):
+@pytest.mark.parametrize("kind, evaluator", [("t", eval_t), ("td", eval_td), ("c", eval_c)],
+                         ids=["t", "td", "c"])
+def test_a_uniform_operand_is_joined_once_per_distinct_left_time_shape(monkeypatch, kind,
+                                                                       evaluator):
+    # (<=15) is one tuple in a bucket that every node shares: each left time
+    # shape is joined with it once, however many left tuples have that shape
     g, left_shapes = _few_shapes_graph()
     calls = []
-    original = ev.join_c
+    original = ev._answers
 
-    def counting(u1, u2):
-        calls.append(u1)
-        return original(u1, u2)
+    def counting(G, q, rules, cap):
+        def join(u1, u2):
+            calls.append(u1)
+            return rules.join(u1, u2)
+        return original(G, q, rules._replace(join=join), cap)
 
-    monkeypatch.setattr(ev, "join_c", counting)
-    got = eval_c(g, parse_query("e/(<=15)"))
+    monkeypatch.setattr(ev, "_answers", counting)
+    got = evaluator(g, parse_query("e/(<=15)"))
     monkeypatch.undo()
-    assert Counter(u1[2:] for u1 in calls) == Counter(left_shapes)
-    assert unfold(got, "c") == eval_direct(g, parse_query("e/(<=15)"))
-
-
-def test_shared_bucket_is_searched_once_per_distinct_left_time_shape(monkeypatch):
-    # (<=15) is one bucket for every node: a left time shape searches it once,
-    # however many left tuples have that shape
-    g, left_shapes = _few_shapes_graph()
-    expected = eval_c(g, parse_query("e/(<=15)"))
-    searches = []
-    original = ev.bisect_left
-
-    def counting(los, x):
-        searches.append(x)
-        return original(los, x)
-
-    monkeypatch.setattr(ev, "bisect_left", counting)
-    got = eval_c(g, parse_query("e/(<=15)"))
-    monkeypatch.undo()
-    assert len(searches) == len(left_shapes) == 4
-    assert got == expected
-    assert unfold(got, "c") == eval_direct(g, parse_query("e/(<=15)"))
+    assert Counter(u1[2:4] for u1 in calls) == Counter(shape[:2] for shape in left_shapes)
+    assert unfold(got, kind) == eval_direct(g, parse_query("e/(<=15)"))
 
 
 @pytest.mark.parametrize("query, leaving", [

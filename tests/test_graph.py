@@ -278,3 +278,11 @@ def test_graph_built_through_the_api_rejects_an_empty_node_name(triple):
     # a label may still be anything
     g = TemporalGraph("discrete", iv.closed(0, 5), {("A", "", "B"): (iv.closed(1, 2),)})
     assert g.nodes == ("A", "B")
+
+
+@pytest.mark.parametrize("mode", ["foo", "Dense", ""])
+def test_graph_built_through_the_api_rejects_an_unknown_mode(mode):
+    # as load_graph rejects its header, so that serialize_graph only writes
+    # files that load_graph reads
+    with pytest.raises(GraphParseError, match=f"unknown mode {mode!r}"):
+        TemporalGraph(mode, iv.closed(0, 10), {("a", "e", "b"): (iv.closed(0, 3),)})
