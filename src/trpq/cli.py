@@ -44,7 +44,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _read_text(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")  # a leading BOM is dropped
     except UnicodeDecodeError as exc:
         raise TrpqError(f"{path} is not UTF-8 text: {exc}") from None
 

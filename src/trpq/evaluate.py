@@ -188,7 +188,7 @@ def _evaluate(G, q, rules: _Rules, cap: int) -> set:
 
 
 def _bucketed(G, q, rules: _Rules, cap: int, out=None) -> dict:
-    """``_buckets`` of q's answer set ``out`` (evaluated if not given), kept in G if ``_kept``."""
+    """``_uniform``'s shared bucket, else ``_buckets`` of q's answers ``out``, kept if ``_kept``."""
     if isinstance(q, _UNIFORM) or isinstance(q, q_.Not) and isinstance(q.inner, q_.Pred):
         return _uniform(G, q, rules)
     out = _evaluate(G, q, rules, cap) if out is None else out
@@ -336,29 +336,27 @@ def _repeat_sets(base, m, n, identity, join_base, cap):
 
 
 def _answers(G: TemporalGraph, q: q_.Trpq, rules: _Rules, cap: int):
-    """The answer to q under ``rules``; every evaluator's one way into ``_evaluate``.
+    """The answer to q under ``rules``: every evaluator's one call of ``_evaluate``.
 
-    Over dense time it runs on a common integer grid: L is the lcm of the
-    denominators of the domain's, the facts' and the query's time constants.
-    When L > 1, G (which keeps its scaled copy) and q are scaled by L, evaluated
-    in ``int`` arithmetic, sorted while ``int``, and scaled back by 1/L.  Positive
-    scaling maps dense time onto itself and keeps every comparison, so the order
-    and canonical form of the tuples, the rounds of each closure and the answer
-    are those of evaluating G and q as they are.  A dense answer is a list in
+    Over dense time that call runs on a common integer grid: L is the lcm of the
+    denominators of the domain's, the facts' and the query's time constants.  When
+    L > 1, G (which keeps its scaled copy) and q are scaled by L, evaluated in ``int``
+    arithmetic, sorted while ``int``, and scaled back by 1/L, as is the window that
+    U^d's error cites.  Positive scaling keeps every comparison, so the order and
+    canonical form of the tuples, the rounds of each closure, the answer and the
+    failing pair are those of G and q as they are.  A dense answer is a list in
     canonical order, a discrete one the set that ``_evaluate`` makes.
     """
     q = q_.adapt_query(q, G.discrete)
     grid = 1 if G.discrete else math.lcm(G._denominator, _denominator(q))
-    if grid > 1:
-        try:
-            scaled = _evaluate(_on_grid(G, grid), q_.scale_query(q, grid), rules, cap)
-            return _scale_back(sorted(scaled, key=tuple_sort_key), grid)
-        except DenseInfeasibleError:
-            # the error would cite a scaled interval; dense U^d probes pairs in canonical
-            # order, which scaling keeps, so off the grid it fails at the same pair
-            pass
-    out = _evaluate(G, q, rules, cap)
-    return out if G.discrete else sorted(out, key=tuple_sort_key)
+    G, q = (_on_grid(G, grid), q_.scale_query(q, grid)) if grid > 1 else (G, q)
+    try:
+        out = _evaluate(G, q, rules, cap)
+    except DenseInfeasibleError as exc:  # U^d's, the only one ``_evaluate`` raises
+        raise _too_many_points(iv.scale(exc.window, Fraction(1, grid))) from None
+    if not G.discrete:
+        out = sorted(out, key=tuple_sort_key)
+    return _scale_back(out, grid) if grid > 1 else out
 
 
 def _denominator(q: q_.Trpq) -> int:
@@ -456,13 +454,16 @@ def eval_td(G: TemporalGraph, q: q_.Trpq, *, max_iterations: int = MAX_ITERATION
 
 
 def _expand_times(tau: Interval, discrete: bool):
-    if discrete:
-        return iv.iter_points(tau)
-    if tau.is_singleton:
-        return (tau.lo,)
-    raise DenseInfeasibleError(
-        f"dense time: U^d would need one tuple per rational time point of {tau}"
-    )
+    if not (discrete or tau.is_singleton):
+        raise _too_many_points(tau)
+    return iv.iter_points(tau) if discrete else (tau.lo,)
+
+
+def _too_many_points(window: Interval) -> DenseInfeasibleError:
+    text = f"dense time: U^d would need one tuple per rational time point of {window}"
+    exc = DenseInfeasibleError(text)
+    exc.window = window  # for ``_answers``, which cites it divided by the grid
+    return exc
 
 
 def _per_departure(u1: TDTuple, u2: TDTuple, discrete: bool) -> tuple[TDTuple, ...]:
@@ -517,8 +518,7 @@ def _nav_join_d(groups, delta: Interval, G) -> set:
     U^d's join.  Groups ending at a node absent from the graph have no
     navigation partner.
     """
-    nodes = graph_nodes(G)
-    out = set()
+    nodes, out = graph_nodes(G), set()
     for g in groups if G.discrete else sorted(groups, key=tuple_sort_key):
         if g.n2 not in nodes:
             continue

@@ -163,7 +163,8 @@ def load_graph(text: str) -> TemporalGraph:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        head, _, rest = line.partition(" ")
+        head = line.split(None, 1)[0]  # at any whitespace, as a fact line is split
+        rest = line[len(head) + 1:]
         if head == "mode":
             if mode is not None:
                 raise GraphParseError("duplicate mode header", line=line_no)

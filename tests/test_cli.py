@@ -516,6 +516,19 @@ def test_non_utf8_input_exits_1(workdir, capsys, which):
     assert err.startswith("error: ") and "UTF-8" in err
 
 
+def test_a_byte_order_mark_is_not_part_of_the_input(workdir, capsys):
+    # a UTF-8 file may start with a BOM, as some editors write it
+    for name in ("running.tg", "q3.trpq"):
+        text = (workdir / name).read_text(encoding="utf-8")
+        (workdir / f"bom-{name}").write_text("\ufeff" + text, encoding="utf-8")
+    outcomes = [
+        run(capsys, "eval", "--graph", workdir / f"{prefix}running.tg",
+            "--query", workdir / f"{prefix}q3.trpq", "--repr", "t", "--coalesce")
+        for prefix in ("", "bom-")
+    ]
+    assert outcomes[0] == outcomes[1] and outcomes[0][0] == 0 and outcomes[0][1]
+
+
 @pytest.mark.parametrize(
     "command", [("eval",), ("plot", "--pair", "ICDT", "ISWC")], ids=["eval", "plot"]
 )

@@ -589,3 +589,12 @@ def test_answer_set_rejects_an_unknown_kind():
     with pytest.raises(ValueError) as err:
         AnswerSet("tc", "discrete", [])
     assert str(err.value) == "unknown representation 'tc'"
+    # equal sets, whatever the order and repeats of their items, hash equal: one dict key
+    items = [
+        TDTuple("b", "c", iv.closed(2, 3), iv.point(0)),
+        TDTuple("a", "b", iv.closed(0, 1), iv.point(1)),
+    ]
+    first, second = AnswerSet("td", "discrete", items), AnswerSet("td", "discrete", items[::-1] * 2)
+    assert first == second and hash(first) == hash(second)
+    assert len({first: 1, second: 2}) == 1
+    assert repr(first) == "AnswerSet('td', 'discrete', 2 tuples)"

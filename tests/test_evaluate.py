@@ -4,6 +4,7 @@ import math
 import random
 import re
 import time
+import traceback
 from collections import Counter
 from fractions import Fraction
 from functools import partial
@@ -1120,8 +1121,8 @@ def test_eval_c_on_the_integer_grid_matches_the_plain_evaluation(steps):
 @pytest.mark.parametrize("steps", _STEPS.values(), ids=_STEPS)
 def test_eval_t_and_eval_d_on_the_integer_grid_match_the_plain_evaluation(steps):
     # the same instances as eval_c's, and the dense U^d errors, which the grid
-    # run hands back to an evaluation off the grid so that they cite the user's
-    # interval; eval_td runs U^d's rules too
+    # run raises citing its window divided by the grid: the text of the failing
+    # pair off the grid; eval_td runs U^d's rules too
     grids, grid_errors = Counter(), 0
     for kind in ("t", "d", "td"):
         for seed in range(300):
@@ -1171,16 +1172,26 @@ def test_dense_eval_d_on_the_half_step_grid_matches_the_plain_evaluation(source)
     assert grids == 0 if source == "randgen" else grids > 250
 
 
-def test_a_dense_u_d_error_on_the_grid_cites_the_unscaled_interval():
-    # on the grid of step 1/2 the departure window is [0,1]; the error cites [0,1/2]
+def test_a_dense_u_d_error_on_the_grid_cites_the_unscaled_interval(monkeypatch):
+    # on the grid of step 1/2 the departure window is [0,1]; the error cites [0,1/2],
+    # and the query is evaluated once, on the grid copy only
     text = "mode dense\ndomain [0,60]\na e b [0,1/2]\nb f c [2,2]\n"
-    G = load_graph(text)
-    with pytest.raises(DenseInfeasibleError) as err:
-        eval_d(G, parse_query("e/T[3/2,2]/f"))
-    assert str(err.value) == (
-        "dense time: U^d would need one tuple per rational time point of [0,1/2]"
-    )
-    assert set(G._grids) == {2}
+    seen, evaluate = [], ev._evaluate
+    monkeypatch.setattr(ev, "_evaluate", lambda G, *rest: seen.append(G) or evaluate(G, *rest))
+    for evaluator in (eval_d, eval_td):
+        G = load_graph(text)
+        seen.clear()
+        with pytest.raises(DenseInfeasibleError) as err:
+            evaluator(G, parse_query("e/T[3/2,2]/f"))
+        assert str(err.value) == (
+            "dense time: U^d would need one tuple per rational time point of [0,1/2]"
+        )
+        assert set(G._grids) == {2}
+        assert seen and all(g is G._grids[2] for g in seen)
+        # nothing in the traceback, not even a chained error, cites the grid's [0,1]
+        shown = "".join(traceback.format_exception(err.value))
+        assert "[0,1/2]" in shown and "[0,1]" not in shown
+    monkeypatch.undo()
     for evaluate, want in ((eval_t, "t a c [1/2,1/2] 3/2"), (eval_d, "d a c 1/2 [3/2,3/2]")):
         G = load_graph(text)
         assert evaluate(G, parse_query("e/T[3/2,3/2]/f")).render() == want

@@ -79,6 +79,12 @@ def test_comments_and_blank_lines_ignored():
     assert len(g.facts) == 1
 
 
+def test_a_tab_separates_a_header_as_it_separates_a_fact():
+    tabbed = load_graph("mode\tdiscrete\ndomain\t[0,5]\na\te\tb\t[0,1]\n")
+    spaced = load_graph("mode discrete\ndomain [0,5]\na e b [0,1]\n")
+    assert (tabbed.mode, tabbed.domain, tabbed.facts) == (spaced.mode, spaced.domain, spaced.facts)
+
+
 @pytest.mark.parametrize(
     "doc,needle",
     [
