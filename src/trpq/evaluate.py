@@ -349,10 +349,13 @@ def _answers(G: TemporalGraph, q: q_.Trpq, rules: _Rules, cap: int):
     """
     q = q_.adapt_query(q, G.discrete)
     grid = 1 if G.discrete else math.lcm(G._denominator, _denominator(q))
-    G, q = (_on_grid(G, grid), q_.scale_query(q, grid)) if grid > 1 else (G, q)
+    if grid > 1:
+        G, q = _on_grid(G, grid), q_.scale_query(q, grid)
     try:
         out = _evaluate(G, q, rules, cap)
-    except DenseInfeasibleError as exc:  # U^d's, the only one ``_evaluate`` raises
+    except DenseInfeasibleError as exc:
+        if grid == 1 or not hasattr(exc, "window"):  # nothing to divide: as raised
+            raise
         raise _too_many_points(iv.scale(exc.window, Fraction(1, grid))) from None
     if not G.discrete:
         out = sorted(out, key=tuple_sort_key)
@@ -454,9 +457,11 @@ def eval_td(G: TemporalGraph, q: q_.Trpq, *, max_iterations: int = MAX_ITERATION
 
 
 def _expand_times(tau: Interval, discrete: bool):
-    if not (discrete or tau.is_singleton):
-        raise _too_many_points(tau)
-    return iv.iter_points(tau) if discrete else (tau.lo,)
+    if discrete:
+        return iv.iter_points(tau)
+    if tau.is_singleton:
+        return (tau.lo,)
+    raise _too_many_points(tau)
 
 
 def _too_many_points(window: Interval) -> DenseInfeasibleError:
@@ -518,7 +523,8 @@ def _nav_join_d(groups, delta: Interval, G) -> set:
     U^d's join.  Groups ending at a node absent from the graph have no
     navigation partner.
     """
-    nodes, out = graph_nodes(G), set()
+    nodes = graph_nodes(G)
+    out = set()
     for g in groups if G.discrete else sorted(groups, key=tuple_sort_key):
         if g.n2 not in nodes:
             continue
